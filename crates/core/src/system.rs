@@ -461,8 +461,7 @@ impl UvmSystem {
             // Wake latency is the backend's: the stock CPU driver pays the
             // host interrupt + worker wake path; a GPU-driven backend polls
             // its GPU-side queue instead and wakes in the poll interval.
-            let wake = arrival.max(now)
-                + self.config.backend.as_backend().wake_latency(&self.config.cost);
+            let wake = arrival.max(now) + self.config.backend.wake_latency(&self.config.cost);
             // A new interrupt supersedes a later-scheduled check (the
             // hardware re-interrupts; the worker must not sleep through a
             // fresh fault because an old spurious one scheduled a far

@@ -212,16 +212,42 @@ impl BatchRecord {
     /// Sum of the recorded component times (consistency check against
     /// `service_time`, which also includes rounding from jitter).
     pub fn component_sum(&self) -> SimDuration {
-        self.t_fetch
-            + self.t_preprocess
-            + self.t_dma_setup
-            + self.t_unmap
-            + self.t_populate
-            + self.t_transfer
-            + self.t_evict
-            + self.t_pte
-            + self.t_fixed
-            + self.t_backoff
+        SimDuration(self.component_ns().iter().sum())
+    }
+}
+
+/// A batch-time component: one `t_*` field of [`BatchRecord`]. The
+/// discriminants are the [`uvm_trace::COMPONENTS`] indices, the slots of
+/// [`BatchRecord::component_ns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Component {
+    Fetch,
+    Preprocess,
+    DmaSetup,
+    Unmap,
+    Populate,
+    Transfer,
+    Evict,
+    Pte,
+    Fixed,
+    Backoff,
+}
+
+impl BatchRecord {
+    /// The `t_*` field holding `component`'s time.
+    pub(crate) fn component_mut(&mut self, component: Component) -> &mut SimDuration {
+        match component {
+            Component::Fetch => &mut self.t_fetch,
+            Component::Preprocess => &mut self.t_preprocess,
+            Component::DmaSetup => &mut self.t_dma_setup,
+            Component::Unmap => &mut self.t_unmap,
+            Component::Populate => &mut self.t_populate,
+            Component::Transfer => &mut self.t_transfer,
+            Component::Evict => &mut self.t_evict,
+            Component::Pte => &mut self.t_pte,
+            Component::Fixed => &mut self.t_fixed,
+            Component::Backoff => &mut self.t_backoff,
+        }
     }
 }
 
@@ -316,6 +342,30 @@ mod tests {
         let json = serde_json::to_string(&r)?;
         assert!(json.contains("\"raw_faults\":256"));
         Ok(())
+    }
+
+    #[test]
+    fn component_mut_addresses_its_component_ns_slot() {
+        let all = [
+            Component::Fetch,
+            Component::Preprocess,
+            Component::DmaSetup,
+            Component::Unmap,
+            Component::Populate,
+            Component::Transfer,
+            Component::Evict,
+            Component::Pte,
+            Component::Fixed,
+            Component::Backoff,
+        ];
+        for (i, c) in all.into_iter().enumerate() {
+            let mut r = BatchRecord::default();
+            *r.component_mut(c) = SimDuration(1);
+            let mut want = [0u64; 10];
+            want[i] = 1;
+            assert_eq!(c as usize, i);
+            assert_eq!(r.component_ns(), want);
+        }
     }
 
     #[test]

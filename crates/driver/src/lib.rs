@@ -16,10 +16,11 @@
 //!   address, same μTLB) vs type 2 (same address, different μTLBs).
 //! * [`prefetch`] — the reactive tree-based density prefetcher, confined to
 //!   a single VABlock (64 KiB leaf regions, >50 % density threshold).
-//! * [`backend`] — the servicing-architecture layer: object-safe
-//!   [`backend::ServicingBackend`] trait selecting who runs the pipeline
-//!   (stock CPU driver, GPUVM-style GPU-driven queues, or 2/4-peer
-//!   NVLink-like far-fault servicing with a per-VABlock owner directory).
+//! * [`backend`] — the servicing-architecture layer: the plain
+//!   [`BackendKind`] enum selecting who runs the pipeline (stock CPU
+//!   driver, GPUVM-style GPU-driven queues, or 2/4-peer NVLink-like
+//!   far-fault servicing with a per-VABlock owner directory), its
+//!   differences expressed as `match` methods.
 //! * [`engine`] — the pluggable policy engine: object-safe
 //!   [`engine::PrefetchPolicy`] / [`engine::EvictionPolicy`] traits with
 //!   the stock
@@ -66,7 +67,7 @@ pub mod va_block;
 pub mod va_space;
 
 pub use advise::MemAdvise;
-pub use backend::{BackendKind, PeerDirectory, PeerHolding, ServicingBackend};
+pub use backend::{BackendKind, PeerDirectory, PeerHolding};
 pub use batch::BatchRecord;
 pub use bitmap::PageBitmap;
 pub use clients::{ClientCounters, ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};

@@ -1,13 +1,23 @@
 //! The fault-servicing pipeline.
 //!
 //! [`UvmDriver::service_batch`] is the model of the driver's per-batch work
-//! loop (paper Secs. 2.2, 4, 5): fetch the batch, deduplicate it, then
-//! service each distinct VABlock — first-touch DMA-map setup, fault-path
-//! CPU unmap, eviction under memory pressure, population, migration,
-//! page-table updates, and (optionally) tree-based prefetch expansion. All
-//! state transitions are applied to the GPU device model and the host OS
-//! substrate, and a [`BatchRecord`] capturing the component costs is
-//! appended to the driver's log.
+//! loop (paper Secs. 2.2, 4, 5), run as named phase functions in the order
+//! of the paper's batch-cost breakdown: `open_batch` → `attribute_drops`
+//! (buffer overflow) → `absorb_reset` / `apply_pressure` (sustained failure
+//! domains) → `evaluate_health` → `fetch` (with stall retries) → `admit`
+//! (multi-tenant) → `compose` (access mix, SM/μTLB spread, metadata log) →
+//! `dedup_and_preprocess` → `group_by_block` → `service_block` per VABlock
+//! (lock, thrashing pin, then `map_remote`, or prefetch expansion,
+//! `ensure_block_allocated`, DMA setup, CPU unmap, and migration or
+//! degradation) → `charge_batch_fixed` (fixed time + jitter) →
+//! `close_batch` (writeback, `batch-close`) → audit.
+//! [`UvmDriver::prefetch_async`] reuses `open_batch`, `close_batch`, and
+//! the per-block phases.
+//!
+//! Every simulated-time cost goes through one primitive, `charge`: it adds
+//! the duration to the record's `t_*` field for its component and emits
+//! the matching trace span in the same step, so a batch's breakdown tiles
+//! its trace by construction.
 //!
 //! The pipeline is *fallible*: every stage that can fail in a real driver
 //! (DMA-map creation, the copy engine, host page-table operations, the
@@ -28,29 +38,52 @@ use uvm_hostos::host::HostMemory;
 use uvm_sim::cost::CostModel;
 use uvm_sim::error::UvmError;
 use uvm_sim::inject::{InjectionPoint, Injector, PointInjector};
-use uvm_sim::mem::{Allocation, VaBlockId, PAGE_SIZE};
+use uvm_sim::mem::{Allocation, PageNum, VaBlockId, PAGE_SIZE};
 use uvm_sim::rng::DetRng;
 use uvm_sim::time::{SimDuration, SimTime};
 
 use uvm_trace::TraceEvent;
 
 use crate::advise::MemAdvise;
-use crate::batch::{BatchRecord, FaultMeta};
+use crate::backend::{BackendKind, PeerDirectory};
+use crate::batch::{BatchRecord, Component, FaultMeta};
+use crate::bitmap::PageBitmap;
+use crate::clients::{ClientLedger, TenancyConfig};
+use crate::dedup::{classify_duplicates_with, DedupResult, DedupScratch};
+use crate::engine::{run_prefetch_policy, PrefetchContext};
+use crate::evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
+use crate::health::{HealthEvidence, HealthMachine};
+use crate::policy::DriverPolicy;
+use crate::va_block::VaBlockState;
+use crate::va_space::VaSpace;
 
-/// Emit a component span for a duration just added to `rec`.
+/// Add `dur` to `rec`'s `component` time and emit the matching span.
 ///
-/// Must be called immediately after `rec.t_* += dur`: the record's
-/// component times only grow, in program order, so placing the span at
-/// `rec.start + component_sum − dur` tiles the batch's service interval
-/// contiguously, and the per-component span sums equal the record's final
-/// `t_*` fields exactly — the invariant the trace-side breakdown
-/// reconciliation relies on. Purely observational: no driver state (and
-/// no RNG stream) is touched.
+/// The pipeline's only cost primitive. Component times only grow, in
+/// program order, so the span placed at `rec.start + component_sum − dur`
+/// tiles the batch's service interval contiguously, and the per-component
+/// span sums equal the record's final `t_*` fields exactly — the invariant
+/// the trace-side breakdown reconciliation relies on. The event is built
+/// only when tracing is on, and must account against `component`. No
+/// driver state (and no RNG stream) is touched.
 #[inline]
-fn span(rec: &BatchRecord, dur: SimDuration, event: impl FnOnce() -> TraceEvent) {
+fn charge(
+    rec: &mut BatchRecord,
+    component: Component,
+    dur: SimDuration,
+    event: impl FnOnce() -> TraceEvent,
+) {
+    *rec.component_mut(component) += dur;
     if uvm_trace::enabled() {
+        let event = event();
+        assert_eq!(
+            event.component(),
+            Some(component as usize),
+            "`{}` span charged to the wrong component",
+            event.name()
+        );
         let end = rec.start.0 + rec.component_sum().as_nanos();
-        uvm_trace::emit_span(end - dur.as_nanos(), dur.as_nanos(), event);
+        uvm_trace::emit_span(end - dur.as_nanos(), dur.as_nanos(), || event);
     }
 }
 
@@ -61,15 +94,60 @@ fn mark(rec: &BatchRecord, event: impl FnOnce() -> TraceEvent) {
         uvm_trace::emit_instant(rec.start.0 + rec.component_sum().as_nanos(), event);
     }
 }
-use crate::backend::{BackendKind, PeerDirectory};
-use crate::bitmap::PageBitmap;
-use crate::clients::{ClientLedger, TenancyConfig};
-use crate::dedup::{classify_duplicates_with, DedupResult, DedupScratch};
-use crate::engine::{run_prefetch_policy, PrefetchContext};
-use crate::evict::{EvictScratch, GpuMemoryManager, ResidencyOutcome};
-use crate::health::{HealthEvidence, HealthMachine};
-use crate::policy::DriverPolicy;
-use crate::va_space::VaSpace;
+
+/// Where an evicted block's resident data goes.
+#[derive(Debug, Clone, Copy)]
+enum EvictTo {
+    /// Device → host writeback (counted in `bytes_evicted`).
+    Host,
+    /// Device → peer spill over the interconnect (multi-GPU peer
+    /// backends; *not* host writeback).
+    Peer,
+}
+
+/// Charge the writeback of `state`'s resident pages to `to`, plus
+/// `surcharge`, and unmap them from the GPU. A read-duplicated block keeps
+/// an intact host copy, so dropping its GPU copy moves no bytes.
+fn write_back(
+    cost: &CostModel,
+    rec: &mut BatchRecord,
+    state: &VaBlockState,
+    to: EvictTo,
+    surcharge: SimDuration,
+    gpu: &mut Gpu,
+) {
+    let resident = state.gpu_resident;
+    let bytes = if state.read_duplicated {
+        0
+    } else {
+        u64::from(resident.count()) * PAGE_SIZE
+    };
+    let leg = match to {
+        EvictTo::Host => {
+            rec.bytes_evicted += bytes;
+            cost.d2h_time(bytes)
+        }
+        EvictTo::Peer => {
+            rec.pages_spilled_to_peer += u64::from(resident.count());
+            rec.bytes_spilled_to_peer += bytes;
+            cost.p2p_time(bytes)
+        }
+    };
+    let (seq, block) = (rec.seq, state.id);
+    charge(rec, Component::Evict, surcharge + cost.evict_fixed + leg, || {
+        TraceEvent::Evict { batch: seq, victim: Some(block.0), bytes }
+    });
+    gpu.unmap_pages(resident.iter_set().map(|i| block.page_at(i)));
+}
+
+/// Sort the unique faults into `(VABlock, unique index)` keys: blocks
+/// ascend (the deterministic service order), and within a block the
+/// stable index tie-break keeps first-arrival order.
+fn group_by_block(unique: &[FaultRecord], groups: &mut Vec<(VaBlockId, u32)>) {
+    groups.clear();
+    groups.extend(unique.iter().enumerate().map(|(i, f)| (f.page.va_block(), i as u32)));
+    groups.sort_unstable();
+}
 
 /// Reusable per-batch working memory for [`UvmDriver::service_batch_with`].
 ///
@@ -87,7 +165,7 @@ pub struct ServiceScratch {
     /// Distinct-μTLB attribution buffer.
     utlbs: Vec<u32>,
     /// First-occurrence tracking for the per-fault metadata log.
-    seen_pages: HashSet<uvm_sim::mem::PageNum>,
+    seen_pages: HashSet<PageNum>,
     /// `(VABlock, unique index)` grouping keys.
     groups: Vec<(VaBlockId, u32)>,
     /// Faults surviving multi-tenant admission (unused when tenancy is
@@ -271,12 +349,6 @@ impl UvmDriver {
         &self.dma
     }
 
-    /// Deterministic exponential backoff for retry `attempt` (0-based),
-    /// charged to the batch record. Pure policy — no RNG.
-    fn backoff(&self, attempt: u32) -> SimDuration {
-        self.policy.retry_backoff * (1u64 << attempt.min(20))
-    }
-
     /// Burn one draw from the driver's jitter RNG, silently knocking the
     /// stream out of phase with an identically-seeded driver. This is a
     /// divergence-demo hook: it models the class of bug the lockstep
@@ -344,19 +416,7 @@ impl UvmDriver {
         host: &mut HostMemory,
         start: SimTime,
     ) -> Result<SimTime, UvmError> {
-        let seq = self.batch_seq;
-        self.batch_seq += 1;
-        let mut rec = BatchRecord {
-            seq,
-            start,
-            driver_prefetch_op: true,
-            ..Default::default()
-        };
-        uvm_trace::emit_instant(start.0, || TraceEvent::BatchOpen {
-            batch: seq,
-            raw_faults: 0,
-            prefetch_op: true,
-        });
+        let mut rec = self.open_batch(start, 0, true);
         // Explicit prefetch is a cold path (one call per `cudaMemPrefetchAsync`,
         // not per batch): a local scratch is fine.
         let mut evict_scratch = EvictScratch::default();
@@ -365,40 +425,21 @@ impl UvmDriver {
             if state.degraded {
                 continue;
             }
-            let valid = state.valid_pages;
-            let migrate = Self::range_bitmap_of(valid).and_not(&state.gpu_resident);
+            let migrate = Self::range_bitmap_of(state.valid_pages).and_not(&state.gpu_resident);
             if migrate.is_empty() {
                 continue;
             }
-            rec.num_va_blocks += 1;
-            rec.served_blocks.push(block_id.0);
-            rec.per_block_faults.push(0);
-            rec.t_fixed += self.cost.per_vablock_fixed;
-            span(&rec, self.cost.per_vablock_fixed, || TraceEvent::VaBlockLock {
-                batch: seq,
-                block: block_id.0,
-                faults: 0,
-            });
-            self.ensure_block_allocated(block_id, seq, gpu, &mut rec, &mut evict_scratch)?;
+            self.lock_block(&mut rec, block_id, 0);
+            self.ensure_block_allocated(block_id, gpu, &mut rec, &mut evict_scratch)?;
             self.setup_block_dma(block_id, &mut rec)?;
             self.unmap_block_if_needed(block_id, host, &mut rec)?;
             self.try_migrate_with_recovery(block_id, &migrate, gpu, &mut rec)?;
         }
-        rec.t_fixed += self.cost.per_batch_fixed;
-        span(&rec, self.cost.per_batch_fixed, || TraceEvent::Fixed { batch: seq });
-        host.note_writeback(rec.bytes_evicted / PAGE_SIZE);
-        rec.end = start + rec.component_sum();
-        uvm_trace::emit_instant(rec.end.0, || TraceEvent::BatchClose {
+        let seq = rec.seq;
+        charge(&mut rec, Component::Fixed, self.cost.per_batch_fixed, || TraceEvent::Fixed {
             batch: seq,
-            raw_faults: rec.raw_faults,
-            unique_pages: rec.unique_pages,
-            pages_migrated: rec.pages_migrated,
-            bytes_migrated: rec.bytes_migrated,
-            components: rec.component_ns().to_vec(),
         });
-        let end = rec.end;
-        self.records.push(rec);
-        Ok(end)
+        Ok(self.close_batch(rec, host))
     }
 
     /// Sum of all batch service times (the paper's "Batch" column in
@@ -449,94 +490,139 @@ impl UvmDriver {
         start: SimTime,
         scratch: &mut ServiceScratch,
     ) -> Result<&BatchRecord, UvmError> {
+        let mut rec = self.open_batch(start, faults.len() as u64, false);
+        self.attribute_drops(gpu, &mut rec);
+        let reset_absorbed = self.absorb_reset(gpu, &mut rec);
+        self.apply_pressure(gpu, &mut rec, &mut scratch.evict)?;
+        self.evaluate_health(reset_absorbed, &mut rec);
+        self.fetch(&mut rec)?;
+        let faults = self.admit(faults, &mut rec, &mut scratch.admitted);
+        self.compose(faults, &mut rec, &mut scratch.sms, &mut scratch.utlbs, &mut scratch.seen_pages);
+        self.dedup_and_preprocess(faults, &mut rec, &mut scratch.dedup, &mut scratch.dedup_out);
+        let unique = &scratch.dedup_out.unique;
+        group_by_block(unique, &mut scratch.groups);
+        for group in scratch.groups.chunk_by(|a, b| a.0 == b.0) {
+            self.service_block(group, unique, gpu, host, &mut rec, &mut scratch.evict)?;
+        }
+        self.charge_batch_fixed(&mut rec);
+        self.close_batch(rec, host);
+        if self.policy.audit_enabled {
+            crate::audit::audit(self, gpu, host)?;
+        }
+        // Infallible: `close_batch` just pushed the record and the auditor
+        // does not mutate `records`.
+        Ok(self.records.last().expect("just pushed"))
+    }
+
+    /// Open a batch: assign its sequence number and emit `batch-open`.
+    fn open_batch(&mut self, start: SimTime, raw_faults: u64, prefetch_op: bool) -> BatchRecord {
         let seq = self.batch_seq;
         self.batch_seq += 1;
-
-        let mut rec = BatchRecord {
-            seq,
-            start,
-            raw_faults: faults.len() as u64,
-            ..Default::default()
-        };
-
         uvm_trace::emit_instant(start.0, || TraceEvent::BatchOpen {
             batch: seq,
-            raw_faults: faults.len() as u64,
-            prefetch_op: false,
+            raw_faults,
+            prefetch_op,
         });
+        BatchRecord {
+            seq,
+            start,
+            raw_faults,
+            driver_prefetch_op: prefetch_op,
+            ..Default::default()
+        }
+    }
 
-        // ---- attribute hardware-buffer drops since the last batch ----
+    /// Close a batch: account its eviction writebacks host-side (the
+    /// capacity, emergency, and degradation paths all accumulate
+    /// `bytes_evicted`), stamp its end, emit `batch-close`, and append it
+    /// to the log. Returns the end time.
+    fn close_batch(&mut self, mut rec: BatchRecord, host: &mut HostMemory) -> SimTime {
+        host.note_writeback(rec.bytes_evicted / PAGE_SIZE);
+        rec.end = rec.start + rec.component_sum();
+        uvm_trace::emit_instant(rec.end.0, || TraceEvent::BatchClose {
+            batch: rec.seq,
+            raw_faults: rec.raw_faults,
+            unique_pages: rec.unique_pages,
+            pages_migrated: rec.pages_migrated,
+            bytes_migrated: rec.bytes_migrated,
+            components: rec.component_ns().to_vec(),
+        });
+        let end = rec.end;
+        self.records.push(rec);
+        end
+    }
+
+    /// Attribute the hardware-buffer drops since the last batch.
+    fn attribute_drops(&mut self, gpu: &Gpu, rec: &mut BatchRecord) {
         let total_drops = gpu.fault_buffer.overflow_drops();
         rec.dropped_faults = total_drops.saturating_sub(self.overflow_seen);
         self.overflow_seen = total_drops;
+    }
 
-        // ---- sustained failure domains (consulted once per batch) ----
-        // Every point owns an independent forked RNG stream and disabled
-        // points draw nothing, so stock runs are bit-identical to the
-        // pre-chaos pipeline.
-        let mut reset_absorbed = false;
-        if self.inj_reset.is_enabled() && self.inj_reset.should_fail(start) {
-            // The GPU lost its fault buffer, in-flight GMMU state, and
-            // μTLB entries. The driver pays the re-attach cost and relies
-            // on the end-of-batch replay to wake the blocked warps; the
-            // destroyed faults then regenerate from the last consistent
-            // point, exactly like overflow-dropped entries.
-            let lost = gpu.reset(start);
-            rec.gpu_resets += 1;
-            rec.reset_lost_faults += lost;
-            rec.t_fixed += self.policy.reset_reattach_cost;
-            span(&rec, self.policy.reset_reattach_cost, || TraceEvent::Fixed { batch: seq });
-            reset_absorbed = true;
+    /// Sustained GPU-reset domain, consulted once per batch. A fire means
+    /// the GPU lost its fault buffer, in-flight GMMU state, and μTLB
+    /// entries: the driver pays the re-attach cost and relies on the
+    /// end-of-batch replay to wake the blocked warps; the destroyed faults
+    /// then regenerate from the last consistent point, exactly like
+    /// overflow-dropped entries. Returns whether a reset was absorbed.
+    ///
+    /// Every failure domain owns an independent forked RNG stream and
+    /// disabled points draw nothing, so stock runs are bit-identical to
+    /// the pre-chaos pipeline.
+    fn absorb_reset(&mut self, gpu: &mut Gpu, rec: &mut BatchRecord) -> bool {
+        let fired = self.inj_reset.is_enabled() && self.inj_reset.should_fail(rec.start);
+        if !fired {
+            return false;
         }
+        let lost = gpu.reset(rec.start);
+        rec.gpu_resets += 1;
+        rec.reset_lost_faults += lost;
+        let seq = rec.seq;
+        charge(rec, Component::Fixed, self.policy.reset_reattach_cost, || TraceEvent::Fixed {
+            batch: seq,
+        });
+        true
+    }
+
+    /// Sustained device-memory-pressure domain, consulted once per batch:
+    /// while the point fires, `pressure_reserve_blocks` are withheld and
+    /// residency is emergency-evicted to fit. Each victim takes the full
+    /// writeback path, the same as a capacity eviction minus the
+    /// allocation-failure surcharge — nothing asked for memory; the memory
+    /// shrank.
+    fn apply_pressure(
+        &mut self,
+        gpu: &mut Gpu,
+        rec: &mut BatchRecord,
+        evict_scratch: &mut EvictScratch,
+    ) -> Result<(), UvmError> {
         // Consult while the point can still fire OR a reservation is
         // active: an exhausted schedule must still close its window (an
         // exhausted injector draws nothing, so the guard stays zero-draw).
-        if self.inj_pressure.is_enabled() || self.mem.pressure_reserved() > 0 {
-            if self.inj_pressure.is_enabled() && self.inj_pressure.should_fail(start) {
-                self.mem.set_pressure(self.policy.pressure_reserve_blocks);
-            } else {
-                self.mem.set_pressure(0);
-            }
-            self.mem.shed_over_capacity_with(&mut scratch.evict);
-            let victims = &scratch.evict.victims;
-            if self.mem.pressure_reserved() > 0 || !victims.is_empty() {
-                let reserved = self.mem.pressure_reserved();
-                let evicted = victims.len() as u64;
-                mark(&rec, || TraceEvent::MemoryPressure { batch: seq, reserved, evicted });
-            }
-            // Emergency eviction: each victim takes the full writeback
-            // path (device→host transfer charged to `t_evict`), same as a
-            // capacity eviction minus the allocation-failure surcharge —
-            // nothing asked for memory; the memory shrank.
-            for &victim in victims {
-                rec.evicted_blocks.push(victim.0);
-                let vstate = self.va_space.try_block_mut(victim)?;
-                let bytes = if vstate.read_duplicated {
-                    0
-                } else {
-                    u64::from(vstate.gpu_resident.count()) * PAGE_SIZE
-                };
-                rec.emergency_evictions += 1;
-                rec.bytes_evicted += bytes;
-                let d = self.cost.evict_fixed + self.cost.d2h_time(bytes);
-                rec.t_evict += d;
-                span(&rec, d, || TraceEvent::Evict {
-                    batch: seq,
-                    victim: Some(victim.0),
-                    bytes,
-                });
-                let before = vstate.accessible_pages();
-                gpu.unmap_pages(vstate.gpu_resident.iter_set().map(|i| victim.page_at(i)));
-                vstate.evict();
-                vstate.last_evict_seq = Some(seq);
-                let after = vstate.accessible_pages();
-                self.clients.residency_changed(victim, before, after);
-                self.clients.note_eviction(victim);
-            }
+        if !self.inj_pressure.is_enabled() && self.mem.pressure_reserved() == 0 {
+            return Ok(());
         }
+        if self.inj_pressure.is_enabled() && self.inj_pressure.should_fail(rec.start) {
+            self.mem.set_pressure(self.policy.pressure_reserve_blocks);
+        } else {
+            self.mem.set_pressure(0);
+        }
+        self.mem.shed_over_capacity_with(evict_scratch);
+        let victims = &evict_scratch.victims;
+        if self.mem.pressure_reserved() > 0 || !victims.is_empty() {
+            let (reserved, evicted) = (self.mem.pressure_reserved(), victims.len() as u64);
+            mark(rec, || TraceEvent::MemoryPressure { batch: rec.seq, reserved, evicted });
+        }
+        for &victim in victims {
+            rec.emergency_evictions += 1;
+            self.evict_block(victim, EvictTo::Host, SimDuration::ZERO, gpu, rec)?;
+        }
+        Ok(())
+    }
 
-        // ---- health evaluation (batch boundary, before servicing, so the
-        // state gates this batch's speculation) ----
+    /// Re-evaluate the health machine at the batch boundary, before
+    /// servicing, so the state gates this batch's speculation.
+    fn evaluate_health(&mut self, reset_absorbed: bool, rec: &mut BatchRecord) {
         let evidence = HealthEvidence {
             reset_absorbed,
             pressure_reserved: self.mem.pressure_reserved(),
@@ -544,88 +630,118 @@ impl UvmDriver {
             degraded_threshold: self.policy.degraded_threshold,
         };
         if let Some((from, to)) = self.health.observe(&evidence) {
-            mark(&rec, || TraceEvent::HealthTransition {
-                batch: seq,
+            mark(rec, || TraceEvent::HealthTransition {
+                batch: rec.seq,
                 from: from.name().into(),
                 to: to.name().into(),
             });
         }
         rec.health = self.health.state();
         rec.pressure_reserved = self.mem.pressure_reserved();
-        let speculation_allowed = self.health.state().prefetch_allowed();
+    }
 
-        // ---- injected batch-fetch stall: retry the fetch, bounded ----
-        let mut attempt = 0u32;
-        while self.inj_fetch.is_enabled() && self.inj_fetch.should_fail(start) {
-            rec.injected_faults += 1;
-            if attempt >= self.policy.max_retries {
-                return Err(UvmError::BatchFetchStall { batch: seq });
-            }
-            rec.retries += 1;
-            let d = self.backoff(attempt);
-            rec.t_backoff += d;
-            span(&rec, d, || TraceEvent::Backoff { batch: seq, stage: "fetch".into() });
-            attempt += 1;
+    /// Account one injected failure at `stage` and, while the retry budget
+    /// lasts, charge the deterministic exponential backoff (pure policy —
+    /// no RNG) before the next attempt. Returns `false` once the budget is
+    /// exhausted and the caller must give up.
+    fn retry_after_failure(&self, rec: &mut BatchRecord, attempt: &mut u32, stage: &str) -> bool {
+        rec.injected_faults += 1;
+        if *attempt >= self.policy.max_retries {
+            return false;
         }
-
-        // ---- fetch + composition accounting ----
-        rec.t_fetch = self.cost.fetch_per_fault * faults.len() as u64;
-        span(&rec, rec.t_fetch, || TraceEvent::Fetch {
+        rec.retries += 1;
+        let backoff = self.policy.retry_backoff * (1u64 << (*attempt).min(20));
+        let seq = rec.seq;
+        charge(rec, Component::Backoff, backoff, || TraceEvent::Backoff {
             batch: seq,
-            faults: faults.len() as u64,
+            stage: stage.into(),
         });
+        *attempt += 1;
+        true
+    }
 
-        // ---- multi-tenant admission (per-client fairness) ----
-        // Every fetched fault is attributed to its client; the fairness
-        // policy may then reorder the batch (round-robin) or drop faults
-        // over a client's quota — dropped faults regenerate after the
-        // end-of-batch replay, exactly like buffer-flush drops. With no
-        // clients configured this is a pass-through of the raw slice.
-        let faults: &[FaultRecord] = if self.clients.is_enabled() {
-            let outcome =
-                self.clients.admit(faults, self.policy.batch_limit as u64, &mut scratch.admitted);
-            rec.client_faults = outcome.per_client;
-            rec.throttled_faults = outcome.throttled;
-            for (client, &dropped) in outcome.throttled_per_client.iter().enumerate() {
-                if dropped > 0 {
-                    mark(&rec, || TraceEvent::FaultThrottled {
-                        batch: seq,
-                        client: client as u32,
-                        dropped,
-                    });
-                }
+    /// Fetch the batch's raw faults from the buffer, first retrying
+    /// injected fetch stalls within the retry budget.
+    fn fetch(&mut self, rec: &mut BatchRecord) -> Result<(), UvmError> {
+        let mut attempt = 0u32;
+        while self.inj_fetch.is_enabled() && self.inj_fetch.should_fail(rec.start) {
+            if !self.retry_after_failure(rec, &mut attempt, "fetch") {
+                return Err(UvmError::BatchFetchStall { batch: rec.seq });
             }
-            &scratch.admitted
-        } else {
-            faults
-        };
+        }
+        let (seq, faults) = (rec.seq, rec.raw_faults);
+        charge(rec, Component::Fetch, self.cost.fetch_per_fault * faults, || TraceEvent::Fetch {
+            batch: seq,
+            faults,
+        });
+        Ok(())
+    }
 
-        scratch.sms.clear();
-        scratch.utlbs.clear();
+    /// Multi-tenant admission (per-client fairness). Every fetched fault
+    /// is attributed to its client; the fairness policy may then reorder
+    /// the batch (round-robin) or drop faults over a client's quota —
+    /// dropped faults regenerate after the end-of-batch replay, exactly
+    /// like buffer-flush drops. With no clients configured this is a
+    /// pass-through of the raw slice.
+    fn admit<'a>(
+        &mut self,
+        faults: &'a [FaultRecord],
+        rec: &mut BatchRecord,
+        admitted: &'a mut Vec<FaultRecord>,
+    ) -> &'a [FaultRecord] {
+        if !self.clients.is_enabled() {
+            return faults;
+        }
+        let outcome = self.clients.admit(faults, self.policy.batch_limit as u64, admitted);
+        rec.client_faults = outcome.per_client;
+        rec.throttled_faults = outcome.throttled;
+        for (client, &dropped) in outcome.throttled_per_client.iter().enumerate() {
+            if dropped > 0 {
+                mark(rec, || TraceEvent::FaultThrottled {
+                    batch: rec.seq,
+                    client: client as u32,
+                    dropped,
+                });
+            }
+        }
+        admitted
+    }
+
+    /// Composition accounting of the admitted faults: the access-kind mix,
+    /// the distinct SMs and μTLBs contributing, and — when logging — the
+    /// per-fault metadata of the paper's first driver variant.
+    fn compose(
+        &mut self,
+        faults: &[FaultRecord],
+        rec: &mut BatchRecord,
+        sms: &mut Vec<u32>,
+        utlbs: &mut Vec<u32>,
+        seen: &mut HashSet<PageNum>,
+    ) {
+        sms.clear();
+        utlbs.clear();
         for f in faults {
-            scratch.sms.push(f.sm);
-            scratch.utlbs.push(f.utlb);
+            sms.push(f.sm);
+            utlbs.push(f.utlb);
             match f.kind {
                 AccessKind::Read => rec.read_faults += 1,
                 AccessKind::Write => rec.write_faults += 1,
                 AccessKind::Prefetch => rec.prefetch_faults += 1,
             }
         }
-        scratch.sms.sort_unstable();
-        scratch.sms.dedup();
-        scratch.utlbs.sort_unstable();
-        scratch.utlbs.dedup();
-        rec.distinct_sms = scratch.sms.len() as u32;
-        rec.distinct_utlbs = scratch.utlbs.len() as u32;
+        sms.sort_unstable();
+        sms.dedup();
+        utlbs.sort_unstable();
+        utlbs.dedup();
+        rec.distinct_sms = sms.len() as u32;
+        rec.distinct_utlbs = utlbs.len() as u32;
 
-        // ---- per-fault metadata (paper's first driver variant) ----
         if self.policy.log_fault_metadata {
-            let seen = &mut scratch.seen_pages;
             seen.clear();
             for f in faults {
                 let was_duplicate = !seen.insert(f.page);
                 self.fault_log.push(FaultMeta {
-                    batch_seq: seq,
+                    batch_seq: rec.seq,
                     page: f.page.0,
                     kind: f.kind.into(),
                     sm: f.sm,
@@ -635,39 +751,46 @@ impl UvmDriver {
                 });
             }
         }
+    }
 
-        // ---- deduplicate ----
-        classify_duplicates_with(faults, &mut scratch.dedup, &mut scratch.dedup_out);
-        let dedup = &scratch.dedup_out;
-        rec.dup_same_utlb = dedup.dup_same_utlb;
-        rec.dup_cross_utlb = dedup.dup_cross_utlb;
-        rec.unique_pages = dedup.unique.len() as u64;
-        rec.t_preprocess = self.cost.preprocess_per_fault * faults.len() as u64;
+    /// Deduplicate the admitted faults into `out` and charge the
+    /// preprocess time.
+    fn dedup_and_preprocess(
+        &self,
+        faults: &[FaultRecord],
+        rec: &mut BatchRecord,
+        dedup: &mut DedupScratch,
+        out: &mut DedupResult,
+    ) {
+        classify_duplicates_with(faults, dedup, out);
+        rec.dup_same_utlb = out.dup_same_utlb;
+        rec.dup_cross_utlb = out.dup_cross_utlb;
+        rec.unique_pages = out.unique.len() as u64;
+        let mut preprocess = self.cost.preprocess_per_fault * faults.len() as u64;
         if !self.policy.dedup_enabled {
             // Ablation: without dedup, every duplicate walks the servicing
             // path redundantly — block lookup, residency check, page-table
             // no-op — before being discovered already-handled.
-            let redundant = dedup.total_dups();
-            rec.t_preprocess += (self.cost.preprocess_per_fault
-                + self.cost.pte_update_per_page)
-                * redundant;
+            preprocess +=
+                (self.cost.preprocess_per_fault + self.cost.pte_update_per_page) * out.total_dups();
         }
-        span(&rec, rec.t_preprocess, || TraceEvent::Preprocess {
+        let seq = rec.seq;
+        charge(rec, Component::Preprocess, preprocess, || TraceEvent::Preprocess {
             batch: seq,
             faults: faults.len() as u64,
         });
-        mark(&rec, || TraceEvent::DedupHit {
+        mark(rec, || TraceEvent::DedupHit {
             batch: seq,
-            same_utlb: dedup.dup_same_utlb,
-            cross_utlb: dedup.dup_cross_utlb,
-            unique: dedup.unique.len() as u64,
+            same_utlb: out.dup_same_utlb,
+            cross_utlb: out.dup_cross_utlb,
+            unique: out.unique.len() as u64,
         });
         if uvm_trace::enabled() {
             // Lifetime anchors: one per unique fault entering service, with
             // its buffer-arrival time (joined to this batch's close by the
             // fault-lifetime exporter).
-            for f in &dedup.unique {
-                uvm_trace::emit_instant(start.0, || TraceEvent::FaultServiced {
+            for f in &out.unique {
+                uvm_trace::emit_instant(rec.start.0, || TraceEvent::FaultServiced {
                     batch: seq,
                     page: f.page.0,
                     sm: f.sm,
@@ -676,217 +799,21 @@ impl UvmDriver {
                 });
             }
         }
+    }
 
-        // ---- group by VABlock (sorted keys: deterministic service order,
-        // identical to the previous BTreeMap — blocks ascend, and within a
-        // block the stable index tie-break keeps first-arrival order) ----
-        scratch.groups.clear();
-        scratch.groups.extend(
-            dedup
-                .unique
-                .iter()
-                .enumerate()
-                .map(|(i, f)| (f.page.va_block(), i as u32)),
-        );
-        scratch.groups.sort_unstable();
-
-        // ---- per-VABlock servicing ----
-        rec.num_va_blocks = 0;
-        let mut gi = 0;
-        while gi < scratch.groups.len() {
-            let block_id = scratch.groups[gi].0;
-            let mut ge = gi;
-            while ge < scratch.groups.len() && scratch.groups[ge].0 == block_id {
-                ge += 1;
-            }
-            let group = &scratch.groups[gi..ge];
-            gi = ge;
-            rec.num_va_blocks += 1;
-
-            rec.t_fixed += self.cost.per_vablock_fixed;
-            span(&rec, self.cost.per_vablock_fixed, || TraceEvent::VaBlockLock {
-                batch: seq,
-                block: block_id.0,
-                faults: group.len() as u64,
-            });
-            rec.served_blocks.push(block_id.0);
-            rec.per_block_faults.push(group.len() as u32);
-
-            // Faulted pages not already resident (or remote-mapped) on the
-            // GPU.
-            let (valid, advise, resident_now, degraded) = {
-                let state = self.va_space.try_block(block_id)?;
-                (
-                    state.valid_pages,
-                    state.advise,
-                    state.gpu_resident.or(&state.remote_mapped),
-                    state.degraded,
-                )
-            };
-            let any_write = group
-                .iter()
-                .any(|&(_, i)| dedup.unique[i as usize].kind == AccessKind::Write);
-            let mut faulted = PageBitmap::EMPTY;
-            for &(_, i) in group {
-                let idx = dedup.unique[i as usize].page.index_in_block();
-                debug_assert!(
-                    (idx as u32) < valid,
-                    "fault beyond allocation end in block {block_id:?}"
-                );
-                faulted.set(idx);
-            }
-            let faulted = faulted.and_not(&resident_now);
-
-            // Thrashing mitigation (extension, off by default): a block
-            // refaulted shortly after its eviction ping-pongs; pin it
-            // host-side for a while instead of re-migrating.
-            if self.policy.thrashing_mitigation {
-                let state = self.va_space.block_mut(block_id);
-                if let Some(evicted_at) = state.last_evict_seq {
-                    if state.pinned_until.is_none()
-                        && seq.saturating_sub(evicted_at) <= self.policy.thrashing_window
-                    {
-                        state.pinned_until = Some(seq + self.policy.thrashing_pin);
-                        rec.thrashing_pins += 1;
-                    }
-                }
-                if let Some(until) = state.pinned_until {
-                    if seq >= until {
-                        // Pin expired: unmap the remote mappings so the
-                        // next faults migrate normally.
-                        state.pinned_until = None;
-                        let remote = state.remote_mapped;
-                        let before = state.accessible_pages();
-                        state.remote_mapped.reset();
-                        let after = state.accessible_pages();
-                        gpu.unmap_pages(remote.iter_set().map(|i| block_id.page_at(i)));
-                        self.clients.residency_changed(block_id, before, after);
-                    }
-                }
-            }
-            let pinned = self.va_space.block_mut(block_id).pinned_until.is_some();
-
-            // PreferredLocationHost — and blocks degraded by exhausted
-            // migration retries — establish remote mappings over the
-            // interconnect instead of migrating: no device memory, no
-            // eviction pressure, but every access crosses PCIe.
-            if pinned || degraded || advise == Some(MemAdvise::PreferredLocationHost) {
-                if faulted.is_empty() {
-                    continue;
-                }
-                self.setup_block_dma(block_id, &mut rec)?;
-                // Peer-held pages about to be remote-mapped come home
-                // first (sysmem must hold current data).
-                self.reclaim_peer_overlap(block_id, &faulted, &mut rec)?;
-                let n = u64::from(faulted.count());
-                rec.t_pte += self.cost.pte_time(n);
-                span(&rec, self.cost.pte_time(n), || TraceEvent::PteUpdate {
-                    batch: seq,
-                    block: block_id.0,
-                    pages: n,
-                });
-                rec.remote_mapped_pages += n;
-                let state = self.va_space.block_mut(block_id);
-                let before = state.accessible_pages();
-                state.remote_mapped.merge(&faulted);
-                let after = state.accessible_pages();
-                gpu.map_pages(faulted.iter_set().map(|i| block_id.page_at(i)));
-                self.clients.residency_changed(block_id, before, after);
-                continue;
-            }
-
-            // Prefetch expansion, confined to this block, dispatched
-            // through the policy engine. The engine's invariant mask is an
-            // identity for the stock tree policy, so TreeDensity output is
-            // bit-identical to a direct `compute_prefetch` call. Any
-            // non-Healthy regime suspends speculation: migrating pages
-            // nobody asked for into a pressured or resetting device is how
-            // real drivers thrash.
-            let prefetched = if self.policy.prefetch_enabled && speculation_allowed {
-                run_prefetch_policy(
-                    self.policy.prefetch_policy,
-                    &PrefetchContext {
-                        resident: &self.va_space.block(block_id).gpu_resident,
-                        faulted: &faulted,
-                        valid_pages: valid,
-                        threshold: self.policy.prefetch_threshold,
-                        stride_pages: self.policy.stride_pages,
-                        future: self.oracle_future.get(&block_id),
-                    },
-                )
-            } else {
-                PageBitmap::EMPTY
-            };
-            rec.prefetched_pages += u64::from(prefetched.count());
-            mark(&rec, || TraceEvent::PrefetchDecision {
-                batch: seq,
-                block: block_id.0,
-                faulted: u64::from(faulted.count()),
-                prefetched: u64::from(prefetched.count()),
-            });
-            let migrate = faulted.or(&prefetched);
-            if migrate.is_empty() {
-                // Stale faults for already-resident pages: management cost
-                // only.
-                continue;
-            }
-
-            self.ensure_block_allocated(block_id, seq, gpu, &mut rec, &mut scratch.evict)?;
-            self.setup_block_dma(block_id, &mut rec)?;
-
-            // Fault-path CPU unmap — skipped under ReadMostly duplication
-            // unless a write collapses it. (Simplification: the GPU page
-            // table carries no write permissions, so a write to an
-            // already-duplicated *resident* page does not re-fault; the
-            // collapse happens only when the write itself faults. Data
-            // values are not modelled, so the stale CPU copy is cost-
-            // neutral.)
-            let read_mostly = advise == Some(MemAdvise::ReadMostly) && !any_write;
-            if !read_mostly {
-                self.unmap_block_if_needed(block_id, host, &mut rec)?;
-            }
-            if !self.try_migrate_with_recovery(block_id, &migrate, gpu, &mut rec)? {
-                // The block was degraded to a remote mapping instead of
-                // migrated; read duplication is moot.
-                continue;
-            }
-            let state = self.va_space.try_block_mut(block_id)?;
-            state.read_duplicated = read_mostly;
-        }
-
-        rec.t_fixed += self.cost.per_batch_fixed;
-
-        // Host-side scheduling noise on the management portion (everything
-        // but the DMA transfers, which are hardware-paced, and the retry
-        // backoff, which is deterministic policy).
-        let mgmt = rec.component_sum() - rec.t_transfer - rec.t_evict - rec.t_backoff;
+    /// Host-side scheduling noise on the management portion (everything
+    /// but the DMA transfers, which are hardware-paced, and the retry
+    /// backoff, which is deterministic policy), charged with the per-batch
+    /// fixed overhead as one span.
+    fn charge_batch_fixed(&mut self, rec: &mut BatchRecord) {
+        let fixed = self.cost.per_batch_fixed;
+        let mgmt = rec.component_sum() + fixed - rec.t_transfer - rec.t_evict - rec.t_backoff;
         let jitter = self.rng.jitter_factor(self.cost.service_jitter);
         let jittered_extra = mgmt.mul_f64(jitter).saturating_sub(mgmt);
-        rec.t_fixed += jittered_extra;
-        // One span covering the per-batch fixed overhead plus its jitter.
-        span(&rec, self.cost.per_batch_fixed + jittered_extra, || TraceEvent::Fixed {
+        let seq = rec.seq;
+        charge(rec, Component::Fixed, fixed + jittered_extra, || TraceEvent::Fixed {
             batch: seq,
         });
-
-        // Host-side accounting of this batch's eviction writebacks (normal,
-        // emergency, and degradation paths all accumulate bytes_evicted).
-        host.note_writeback(rec.bytes_evicted / PAGE_SIZE);
-        rec.end = start + rec.component_sum();
-        uvm_trace::emit_instant(rec.end.0, || TraceEvent::BatchClose {
-            batch: seq,
-            raw_faults: rec.raw_faults,
-            unique_pages: rec.unique_pages,
-            pages_migrated: rec.pages_migrated,
-            bytes_migrated: rec.bytes_migrated,
-            components: rec.component_ns().to_vec(),
-        });
-        self.records.push(rec);
-        if self.policy.audit_enabled {
-            crate::audit::audit(self, gpu, host)?;
-        }
-        // Infallible: the record was pushed two statements above and the
-        // auditor does not mutate `records`.
-        Ok(self.records.last().expect("just pushed"))
     }
 
     /// A bitmap covering pages `0..valid`.
@@ -896,33 +823,181 @@ impl UvmDriver {
         bm
     }
 
-    /// Ensure `block_id` holds a GPU physical allocation, performing LRU
-    /// evictions (with their fail/writeback/restart costs) if the device
-    /// is full.
+    /// Take the per-VABlock lock: count the block as serviced with
+    /// `faults` unique faults and charge the per-VABlock management cost.
+    fn lock_block(&self, rec: &mut BatchRecord, block_id: VaBlockId, faults: u32) {
+        rec.num_va_blocks += 1;
+        rec.served_blocks.push(block_id.0);
+        rec.per_block_faults.push(faults);
+        let seq = rec.seq;
+        charge(rec, Component::Fixed, self.cost.per_vablock_fixed, || TraceEvent::VaBlockLock {
+            batch: seq,
+            block: block_id.0,
+            faults: u64::from(faults),
+        });
+    }
+
+    /// Service one VABlock's share of the batch: `group` holds its
+    /// `(block, index)` keys into the batch's `unique` faults.
+    fn service_block(
+        &mut self,
+        group: &[(VaBlockId, u32)],
+        unique: &[FaultRecord],
+        gpu: &mut Gpu,
+        host: &mut HostMemory,
+        rec: &mut BatchRecord,
+        evict_scratch: &mut EvictScratch,
+    ) -> Result<(), UvmError> {
+        let block_id = group[0].0;
+        self.lock_block(rec, block_id, group.len() as u32);
+
+        // Faulted pages not already resident (or remote-mapped) on the
+        // GPU.
+        let state = self.va_space.try_block(block_id)?;
+        let (valid, advise, degraded) = (state.valid_pages, state.advise, state.degraded);
+        let resident_now = state.gpu_resident.or(&state.remote_mapped);
+        let any_write = group.iter().any(|&(_, i)| unique[i as usize].kind == AccessKind::Write);
+        let mut faulted = PageBitmap::EMPTY;
+        for &(_, i) in group {
+            let idx = unique[i as usize].page.index_in_block();
+            debug_assert!((idx as u32) < valid, "fault beyond allocation end in block {block_id:?}");
+            faulted.set(idx);
+        }
+        let faulted = faulted.and_not(&resident_now);
+
+        if self.policy.thrashing_mitigation {
+            self.update_thrashing_pin(block_id, gpu, rec);
+        }
+        let pinned = self.va_space.try_block(block_id)?.pinned_until.is_some();
+
+        // PreferredLocationHost — and blocks degraded by exhausted
+        // migration retries — establish remote mappings over the
+        // interconnect instead of migrating: no device memory, no
+        // eviction pressure, but every access crosses PCIe.
+        if pinned || degraded || advise == Some(MemAdvise::PreferredLocationHost) {
+            if !faulted.is_empty() {
+                self.setup_block_dma(block_id, rec)?;
+                self.map_remote(block_id, &faulted, gpu, rec)?;
+            }
+            return Ok(());
+        }
+
+        let prefetched = self.prefetch_expansion(block_id, &faulted, valid, rec);
+        let migrate = faulted.or(&prefetched);
+        if migrate.is_empty() {
+            // Stale faults for already-resident pages: management cost
+            // only.
+            return Ok(());
+        }
+
+        self.ensure_block_allocated(block_id, gpu, rec, evict_scratch)?;
+        self.setup_block_dma(block_id, rec)?;
+
+        // Fault-path CPU unmap — skipped under ReadMostly duplication
+        // unless a write collapses it. (Simplification: the GPU page
+        // table carries no write permissions, so a write to an
+        // already-duplicated *resident* page does not re-fault; the
+        // collapse happens only when the write itself faults. Data
+        // values are not modelled, so the stale CPU copy is cost-
+        // neutral.)
+        let read_mostly = advise == Some(MemAdvise::ReadMostly) && !any_write;
+        if !read_mostly {
+            self.unmap_block_if_needed(block_id, host, rec)?;
+        }
+        // A block degraded to a remote mapping instead of migrated keeps
+        // no read duplication.
+        if self.try_migrate_with_recovery(block_id, &migrate, gpu, rec)? {
+            self.va_space.try_block_mut(block_id)?.read_duplicated = read_mostly;
+        }
+        Ok(())
+    }
+
+    /// Thrashing mitigation (extension, off by default): a block refaulted
+    /// shortly after its eviction ping-pongs; pin it host-side for a while
+    /// instead of re-migrating. An expired pin unmaps the block's remote
+    /// mappings so the next faults migrate normally.
+    fn update_thrashing_pin(&mut self, block_id: VaBlockId, gpu: &mut Gpu, rec: &mut BatchRecord) {
+        let seq = rec.seq;
+        let state = self.va_space.block_mut(block_id);
+        if let Some(evicted_at) = state.last_evict_seq {
+            if state.pinned_until.is_none()
+                && seq.saturating_sub(evicted_at) <= self.policy.thrashing_window
+            {
+                state.pinned_until = Some(seq + self.policy.thrashing_pin);
+                rec.thrashing_pins += 1;
+            }
+        }
+        if state.pinned_until.is_some_and(|until| seq >= until) {
+            state.pinned_until = None;
+            let remote = state.remote_mapped;
+            let before = state.accessible_pages();
+            state.remote_mapped.reset();
+            let after = state.accessible_pages();
+            gpu.unmap_pages(remote.iter_set().map(|i| block_id.page_at(i)));
+            self.clients.residency_changed(block_id, before, after);
+        }
+    }
+
+    /// Prefetch expansion, confined to this block, dispatched through the
+    /// policy engine. The engine's invariant mask is an identity for the
+    /// stock tree policy, so TreeDensity output is bit-identical to a
+    /// direct `compute_prefetch` call. Any non-Healthy regime suspends
+    /// speculation: migrating pages nobody asked for into a pressured or
+    /// resetting device is how real drivers thrash.
+    fn prefetch_expansion(
+        &self,
+        block_id: VaBlockId,
+        faulted: &PageBitmap,
+        valid: u32,
+        rec: &mut BatchRecord,
+    ) -> PageBitmap {
+        let prefetched = if self.policy.prefetch_enabled && self.health.state().prefetch_allowed() {
+            run_prefetch_policy(
+                self.policy.prefetch_policy,
+                &PrefetchContext {
+                    resident: &self.va_space.block(block_id).gpu_resident,
+                    faulted,
+                    valid_pages: valid,
+                    threshold: self.policy.prefetch_threshold,
+                    stride_pages: self.policy.stride_pages,
+                    future: self.oracle_future.get(&block_id),
+                },
+            )
+        } else {
+            PageBitmap::EMPTY
+        };
+        rec.prefetched_pages += u64::from(prefetched.count());
+        mark(rec, || TraceEvent::PrefetchDecision {
+            batch: rec.seq,
+            block: block_id.0,
+            faulted: u64::from(faulted.count()),
+            prefetched: u64::from(prefetched.count()),
+        });
+        prefetched
+    }
+
+    /// Ensure `block_id` holds a GPU physical allocation, performing
+    /// policy-selected evictions (each paying the allocation-failure
+    /// surcharge, plus one service restart) if the device is full.
     fn ensure_block_allocated(
         &mut self,
         block_id: VaBlockId,
-        seq: u64,
         gpu: &mut Gpu,
         rec: &mut BatchRecord,
         evict_scratch: &mut EvictScratch,
     ) -> Result<(), UvmError> {
-        match self.mem.ensure_resident_with(block_id, seq, evict_scratch)? {
-            ResidencyOutcome::AlreadyResident => {}
-            ResidencyOutcome::Allocated => {
-                self.va_space.try_block_mut(block_id)?.gpu_allocated = true;
-            }
+        match self.mem.ensure_resident_with(block_id, rec.seq, evict_scratch)? {
+            ResidencyOutcome::AlreadyResident => return Ok(()),
+            ResidencyOutcome::Allocated => {}
             ResidencyOutcome::Evicted => {
                 let victims = &evict_scratch.victims;
                 let policy_name = self.mem.policy().name();
                 mark(rec, || TraceEvent::EvictDecision {
-                    batch: seq,
+                    batch: rec.seq,
                     policy: policy_name.into(),
                     victims: victims.len() as u64,
                 });
                 for &victim in victims {
-                    rec.evicted_blocks.push(victim.0);
-                    let vstate = self.va_space.try_block_mut(victim)?;
                     // Multi-GPU peer backends spill capacity victims to a
                     // peer GPU over the interconnect instead of writing
                     // them back to host RAM: cheaper per byte, and a later
@@ -930,80 +1005,57 @@ impl UvmDriver {
                     // duplicated victims keep the stock path (dropping the
                     // GPU copy is free — no transfer to save), and a full
                     // directory falls back to the host writeback.
-                    let resident = vstate.gpu_resident;
-                    if self.peer_dir.is_enabled()
+                    let vstate = self.va_space.try_block(victim)?;
+                    let spilled = self.peer_dir.is_enabled()
                         && !vstate.read_duplicated
-                        && !resident.is_empty()
-                        && self.peer_dir.try_spill(victim, &resident).is_some()
-                    {
-                        let pages = u64::from(resident.count());
-                        let bytes = pages * PAGE_SIZE;
-                        rec.evictions += 1;
-                        rec.pages_spilled_to_peer += pages;
-                        rec.bytes_spilled_to_peer += bytes;
-                        // Same fail/restart structure as a host eviction,
-                        // but the transfer leg rides the interconnect; the
-                        // bytes are NOT host writeback (`bytes_evicted`
-                        // and `note_writeback` stay untouched).
-                        let d = self.cost.alloc_fail
-                            + self.cost.evict_fixed
-                            + self.cost.p2p_time(bytes);
-                        rec.t_evict += d;
-                        span(rec, d, || TraceEvent::Evict {
-                            batch: rec.seq,
-                            victim: Some(victim.0),
-                            bytes,
-                        });
-                        let before = vstate.accessible_pages();
-                        gpu.unmap_pages(resident.iter_set().map(|i| victim.page_at(i)));
-                        vstate.evict_to_peer();
-                        vstate.last_evict_seq = Some(rec.seq);
-                        let after = vstate.accessible_pages();
-                        self.clients.residency_changed(victim, before, after);
-                        self.clients.note_eviction(victim);
-                        continue;
-                    }
-                    // Read-duplicated victims have an intact host copy:
-                    // dropping the GPU copy needs no writeback.
-                    let bytes = if vstate.read_duplicated {
-                        0
-                    } else {
-                        u64::from(vstate.gpu_resident.count()) * PAGE_SIZE
-                    };
+                        && !vstate.gpu_resident.is_empty()
+                        && self.peer_dir.try_spill(victim, &vstate.gpu_resident).is_some();
+                    let to = if spilled { EvictTo::Peer } else { EvictTo::Host };
                     rec.evictions += 1;
-                    rec.bytes_evicted += bytes;
-                    // Fail the allocation, write the victim back, and
-                    // restart the migration step (Sec. 5.1). The data
-                    // returns to host RAM but is NOT re-mapped into CPU
-                    // page tables — so a re-migration later skips the
-                    // unmap cost (the Fig. 13 levels).
-                    let d = self.cost.alloc_fail
-                        + self.cost.evict_fixed
-                        + self.cost.d2h_time(bytes);
-                    rec.t_evict += d;
-                    span(rec, d, || TraceEvent::Evict {
-                        batch: rec.seq,
-                        victim: Some(victim.0),
-                        bytes,
-                    });
-                    let before = vstate.accessible_pages();
-                    gpu.unmap_pages(vstate.gpu_resident.iter_set().map(|i| victim.page_at(i)));
-                    vstate.evict();
-                    vstate.last_evict_seq = Some(rec.seq);
-                    let after = vstate.accessible_pages();
-                    self.clients.residency_changed(victim, before, after);
-                    self.clients.note_eviction(victim);
+                    // Fail the allocation, move the victim out, and restart
+                    // the migration step (Sec. 5.1). Host-written-back data
+                    // is NOT re-mapped into CPU page tables — so a
+                    // re-migration later skips the unmap cost (the Fig. 13
+                    // levels).
+                    self.evict_block(victim, to, self.cost.alloc_fail, gpu, rec)?;
                 }
-                rec.t_evict += self.cost.service_restart;
+                let seq = rec.seq;
                 // Victimless span: the service-restart surcharge.
-                span(rec, self.cost.service_restart, || TraceEvent::Evict {
-                    batch: rec.seq,
+                charge(rec, Component::Evict, self.cost.service_restart, || TraceEvent::Evict {
+                    batch: seq,
                     victim: None,
                     bytes: 0,
                 });
-                self.va_space.try_block_mut(block_id)?.gpu_allocated = true;
             }
         }
+        self.va_space.try_block_mut(block_id)?.gpu_allocated = true;
+        Ok(())
+    }
+
+    /// Evict `victim`'s resident pages to `to`, charging `surcharge` on top
+    /// of the writeback, and apply the block's eviction state transition.
+    /// Shared by the capacity (host writeback or peer spill) and emergency
+    /// eviction paths.
+    fn evict_block(
+        &mut self,
+        victim: VaBlockId,
+        to: EvictTo,
+        surcharge: SimDuration,
+        gpu: &mut Gpu,
+        rec: &mut BatchRecord,
+    ) -> Result<(), UvmError> {
+        rec.evicted_blocks.push(victim.0);
+        let vstate = self.va_space.try_block_mut(victim)?;
+        write_back(&self.cost, rec, vstate, to, surcharge, gpu);
+        let before = vstate.accessible_pages();
+        match to {
+            EvictTo::Host => vstate.evict(),
+            EvictTo::Peer => vstate.evict_to_peer(),
+        }
+        vstate.last_evict_seq = Some(rec.seq);
+        let after = vstate.accessible_pages();
+        self.clients.residency_changed(victim, before, after);
+        self.clients.note_eviction(victim);
         Ok(())
     }
 
@@ -1024,18 +1076,9 @@ impl UvmDriver {
             match self.dma.try_map_pages(block_id, pages, rec.start) {
                 Ok(report) => break report,
                 Err(e) => {
-                    rec.injected_faults += 1;
-                    if attempt >= self.policy.max_retries {
+                    if !self.retry_after_failure(rec, &mut attempt, "dma") {
                         return Err(e);
                     }
-                    rec.retries += 1;
-                    let d = self.backoff(attempt);
-                    rec.t_backoff += d;
-                    span(rec, d, || TraceEvent::Backoff {
-                        batch: rec.seq,
-                        stage: "dma".into(),
-                    });
-                    attempt += 1;
                 }
             }
         };
@@ -1047,9 +1090,11 @@ impl UvmDriver {
         let tail = self
             .rng
             .heavy_tail(self.cost.dma_tail_prob, self.cost.dma_tail_max_factor);
-        let d = base.mul_f64(tail);
-        rec.t_dma_setup += d;
-        span(rec, d, || TraceEvent::DmaSetup { batch: rec.seq, block: block_id.0 });
+        let seq = rec.seq;
+        charge(rec, Component::DmaSetup, base.mul_f64(tail), || TraceEvent::DmaSetup {
+            batch: seq,
+            block: block_id.0,
+        });
         self.va_space.try_block_mut(block_id)?.dma_mapped = true;
         rec.new_va_blocks += 1;
         Ok(())
@@ -1073,18 +1118,9 @@ impl UvmDriver {
             match host.try_unmap_mapping_range(block_id, rec.start) {
                 Ok(report) => break report,
                 Err(e) => {
-                    rec.injected_faults += 1;
-                    if attempt >= self.policy.max_retries {
+                    if !self.retry_after_failure(rec, &mut attempt, "unmap") {
                         return Err(e);
                     }
-                    rec.retries += 1;
-                    let d = self.backoff(attempt);
-                    rec.t_backoff += d;
-                    span(rec, d, || TraceEvent::Backoff {
-                        batch: rec.seq,
-                        stage: "unmap".into(),
-                    });
-                    attempt += 1;
                 }
             }
         };
@@ -1095,14 +1131,14 @@ impl UvmDriver {
         // comparable), but the work happens off the fault critical path:
         // no time is charged and no `CpuUnmap` span is emitted, so the
         // unmap component vanishes from the batch breakdown entirely.
-        if self.backend.as_backend().charges_host_unmap() {
+        if self.backend.charges_host_unmap() {
             let d = self
                 .cost
                 .unmap_time(report.pages_unmapped, report.mapper_cores)
                 .mul_f64(report.numa_factor);
-            rec.t_unmap += d;
-            span(rec, d, || TraceEvent::CpuUnmap {
-                batch: rec.seq,
+            let seq = rec.seq;
+            charge(rec, Component::Unmap, d, || TraceEvent::CpuUnmap {
+                batch: seq,
                 block: block_id.0,
                 pages: report.pages_unmapped,
             });
@@ -1123,19 +1159,10 @@ impl UvmDriver {
     ) -> Result<bool, UvmError> {
         let mut attempt = 0u32;
         while self.inj_copy.is_enabled() && self.inj_copy.should_fail(rec.start) {
-            rec.injected_faults += 1;
-            if attempt >= self.policy.max_retries {
+            if !self.retry_after_failure(rec, &mut attempt, "copy") {
                 self.degrade_to_remote(block_id, migrate, gpu, rec)?;
                 return Ok(false);
             }
-            rec.retries += 1;
-            let d = self.backoff(attempt);
-            rec.t_backoff += d;
-            span(rec, d, || TraceEvent::Backoff {
-                batch: rec.seq,
-                stage: "copy".into(),
-            });
-            attempt += 1;
         }
         self.migrate_pages(block_id, migrate, gpu, rec)?;
         Ok(true)
@@ -1153,47 +1180,19 @@ impl UvmDriver {
         gpu: &mut Gpu,
         rec: &mut BatchRecord,
     ) -> Result<(), UvmError> {
-        let (resident, had_alloc, read_dup) = {
-            let state = self.va_space.try_block(block_id)?;
-            (state.gpu_resident, state.gpu_allocated, state.read_duplicated)
-        };
+        let state = self.va_space.try_block(block_id)?;
+        let had_alloc = state.gpu_allocated;
+        let remote = pages.or(&state.gpu_resident);
         if had_alloc {
             // Release the device allocation: resident data writes back to
             // host RAM (free under read duplication), and the chunk frees
             // without counting as an LRU eviction.
-            let bytes = if read_dup {
-                0
-            } else {
-                u64::from(resident.count()) * PAGE_SIZE
-            };
-            rec.bytes_evicted += bytes;
-            let d = self.cost.evict_fixed + self.cost.d2h_time(bytes);
-            rec.t_evict += d;
-            // Degradation writeback: the block gives up its own allocation.
-            span(rec, d, || TraceEvent::Evict {
-                batch: rec.seq,
-                victim: Some(block_id.0),
-                bytes,
-            });
-            gpu.unmap_pages(resident.iter_set().map(|i| block_id.page_at(i)));
+            write_back(&self.cost, rec, state, EvictTo::Host, SimDuration::ZERO, gpu);
             self.mem.release(block_id);
         }
-        let remote = pages.or(&resident);
-        // Peer-held pages in the degraded set come home first (the block
-        // permanently serves from sysmem, which must hold current data).
-        self.reclaim_peer_overlap(block_id, &remote, rec)?;
-        let n = u64::from(remote.count());
-        span(rec, self.cost.pte_time(n), || TraceEvent::PteUpdate {
-            batch: rec.seq,
-            block: block_id.0,
-            pages: n,
-        });
-        rec.remote_mapped_pages += n;
-        rec.degraded_blocks += 1;
-        self.degraded_total += 1;
         let state = self.va_space.try_block_mut(block_id)?;
         let before = state.accessible_pages();
-        if !read_dup {
+        if !state.read_duplicated {
             let evicted = state.gpu_resident;
             state.host_data.merge(&evicted);
         }
@@ -1201,14 +1200,44 @@ impl UvmDriver {
         state.gpu_allocated = false;
         state.read_duplicated = false;
         state.degraded = true;
-        state.remote_mapped.merge(&remote);
         let after = state.accessible_pages();
-        gpu.map_pages(remote.iter_set().map(|i| block_id.page_at(i)));
         self.clients.residency_changed(block_id, before, after);
+        rec.degraded_blocks += 1;
+        self.degraded_total += 1;
+        // The block now serves permanently from sysmem.
+        self.map_remote(block_id, &remote, gpu, rec)?;
         if had_alloc {
             self.clients.note_eviction(block_id);
         }
         self.clients.note_degraded(block_id);
+        Ok(())
+    }
+
+    /// Map `pages` of `block_id` remotely from sysmem: peer-held pages
+    /// come home first (sysmem must hold current data), then the GPU page
+    /// table is written. Shared by the remote-mapping and degradation
+    /// paths.
+    fn map_remote(
+        &mut self,
+        block_id: VaBlockId,
+        pages: &PageBitmap,
+        gpu: &mut Gpu,
+        rec: &mut BatchRecord,
+    ) -> Result<(), UvmError> {
+        self.reclaim_peer_overlap(block_id, pages, rec)?;
+        let (seq, n) = (rec.seq, u64::from(pages.count()));
+        charge(rec, Component::Pte, self.cost.pte_time(n), || TraceEvent::PteUpdate {
+            batch: seq,
+            block: block_id.0,
+            pages: n,
+        });
+        rec.remote_mapped_pages += n;
+        let state = self.va_space.try_block_mut(block_id)?;
+        let before = state.accessible_pages();
+        state.remote_mapped.merge(pages);
+        let after = state.accessible_pages();
+        gpu.map_pages(pages.iter_set().map(|i| block_id.page_at(i)));
+        self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
 
@@ -1224,6 +1253,7 @@ impl UvmDriver {
         rec: &mut BatchRecord,
     ) -> Result<(), UvmError> {
         let state = self.va_space.try_block_mut(block_id)?;
+        let seq = rec.seq;
         let n_pages = u64::from(migrate.count());
         // Pages whose current copy sits on a peer GPU come back over the
         // interconnect (move semantics: the peer copy is released); the
@@ -1233,36 +1263,27 @@ impl UvmDriver {
         let from_peer = migrate.and(&state.peer_pages);
         let data_pages = u64::from(migrate.and(&state.host_data).and_not(&from_peer).count());
         let bytes = data_pages * PAGE_SIZE;
-        rec.t_populate += self.cost.populate_time(n_pages);
-        span(rec, self.cost.populate_time(n_pages), || TraceEvent::Populate {
-            batch: rec.seq,
-            block: block_id.0,
-            pages: n_pages,
+        charge(rec, Component::Populate, self.cost.populate_time(n_pages), || {
+            TraceEvent::Populate { batch: seq, block: block_id.0, pages: n_pages }
         });
         if !from_peer.is_empty() {
             let peer_pages = u64::from(from_peer.count());
             let peer_bytes = peer_pages * PAGE_SIZE;
             rec.pages_from_peer += peer_pages;
             rec.bytes_from_peer += peer_bytes;
-            let d = self.cost.p2p_time(peer_bytes);
-            rec.t_transfer += d;
-            span(rec, d, || TraceEvent::Transfer {
-                batch: rec.seq,
-                block: block_id.0,
-                bytes: peer_bytes,
+            charge(rec, Component::Transfer, self.cost.p2p_time(peer_bytes), || {
+                TraceEvent::Transfer { batch: seq, block: block_id.0, bytes: peer_bytes }
             });
             state.peer_pages = state.peer_pages.and_not(&from_peer);
             let _ = self.peer_dir.take_overlap(block_id, &from_peer);
         }
-        rec.t_transfer += self.cost.h2d_time(bytes);
-        span(rec, self.cost.h2d_time(bytes), || TraceEvent::Transfer {
-            batch: rec.seq,
+        charge(rec, Component::Transfer, self.cost.h2d_time(bytes), || TraceEvent::Transfer {
+            batch: seq,
             block: block_id.0,
             bytes,
         });
-        rec.t_pte += self.cost.pte_time(n_pages);
-        span(rec, self.cost.pte_time(n_pages), || TraceEvent::PteUpdate {
-            batch: rec.seq,
+        charge(rec, Component::Pte, self.cost.pte_time(n_pages), || TraceEvent::PteUpdate {
+            batch: seq,
             block: block_id.0,
             pages: n_pages,
         });
@@ -1272,18 +1293,17 @@ impl UvmDriver {
         let before = state.accessible_pages();
         state.gpu_resident.merge(migrate);
         let after = state.accessible_pages();
-        state.last_migrate_seq = rec.seq;
+        state.last_migrate_seq = seq;
         gpu.map_pages(migrate.iter_set().map(|i| block_id.page_at(i)));
         self.clients.residency_changed(block_id, before, after);
         Ok(())
     }
 
     /// Reclaim any peer-held pages of `block_id` overlapping `wanted` back
-    /// into host RAM. Called before the pages are remote-mapped from
-    /// sysmem (the remote-mapping and degradation paths): a remote mapping
-    /// serves host data, so the authoritative peer copy must come home
-    /// first. Pays the peer→host interconnect transfer into `t_evict`.
-    /// A no-op for non-peer backends and peer-clean overlaps.
+    /// into host RAM before they are remote-mapped from sysmem: a remote
+    /// mapping serves host data, so the authoritative peer copy must come
+    /// home first. Pays the peer→host interconnect transfer into
+    /// `t_evict`. A no-op for non-peer backends and peer-clean overlaps.
     fn reclaim_peer_overlap(
         &mut self,
         block_id: VaBlockId,
@@ -1298,11 +1318,9 @@ impl UvmDriver {
         if overlap.is_empty() {
             return Ok(());
         }
-        let bytes = u64::from(overlap.count()) * PAGE_SIZE;
-        let d = self.cost.p2p_time(bytes);
-        rec.t_evict += d;
-        span(rec, d, || TraceEvent::Evict {
-            batch: rec.seq,
+        let (seq, bytes) = (rec.seq, u64::from(overlap.count()) * PAGE_SIZE);
+        charge(rec, Component::Evict, self.cost.p2p_time(bytes), || TraceEvent::Evict {
+            batch: seq,
             victim: Some(block_id.0),
             bytes,
         });
@@ -1802,6 +1820,7 @@ mod tests {
         assert_eq!(rec.degraded_blocks, 1);
         assert_eq!(rec.pages_migrated, 0);
         assert_eq!(rec.remote_mapped_pages, 1, "faulted page served from sysmem");
+        assert_eq!(rec.t_pte, CostModel::titan_v().pte_time(1), "remote PTE write charged");
         let state = driver.va_space.block(id);
         assert!(state.degraded, "degradation is sticky");
         assert!(!state.gpu_allocated);

@@ -8,6 +8,8 @@
 //! own backend, so these tests are safe under the default parallel test
 //! runner.
 
+use uvm_core::driver::policy::DriverPolicy;
+use uvm_core::sim::inject::{FaultPlan, InjectionPoint, PointPlan};
 use uvm_core::trace::{self, RingTracer, TraceFilter, TraceRecord};
 use uvm_core::{Progress, RunHints, RunInProgress, RunResult, SystemConfig, UvmSystem};
 use uvm_workloads::cpu_init::CpuInitPolicy;
@@ -68,39 +70,57 @@ fn ring_tracing_is_perturbation_free() {
     assert!(!records.is_empty(), "the traced run must record events");
 }
 
+/// Copy-engine faults aggressive enough to exhaust `retries(1)` on several
+/// blocks, so the degradation path (writeback, peer reclaim, remote PTE
+/// writes) is charged and traced too.
+fn degrading_config() -> SystemConfig {
+    let plan = FaultPlan::none()
+        .with(InjectionPoint::CopyEngineFault, PointPlan::with_probability(0.35));
+    config().with_policy(DriverPolicy::default().retries(1)).with_fault_plan(plan)
+}
+
 #[test]
 fn trace_breakdown_reconciles_with_batch_records() {
     let w = workload();
-    let (result, records) = run_traced(config(), &w);
-    let breakdowns = trace::breakdown(&records);
-    assert_eq!(breakdowns.len(), result.records.len());
-    let mut want = [0u64; 10];
-    for (b, r) in breakdowns.iter().zip(result.records.iter()) {
-        assert_eq!(b.batch, r.seq);
-        assert!(b.complete(), "batch {} missing open/close", r.seq);
-        assert!(
-            b.reconciled(),
-            "batch {}: spans {:?} != close {:?}",
-            r.seq,
-            b.spans,
-            b.close
-        );
-        assert_eq!(b.close, Some(r.component_ns()));
-        for (slot, c) in want.iter_mut().zip(r.component_ns()) {
-            *slot += c;
+    for (name, config) in [("stock", config()), ("degrading", degrading_config())] {
+        let (result, records) = run_traced(config, &w);
+        if name == "degrading" {
+            assert!(
+                result.records.iter().any(|r| r.degraded_blocks > 0),
+                "the copy-engine plan must degrade at least one block"
+            );
         }
+        let breakdowns = trace::breakdown(&records);
+        assert_eq!(breakdowns.len(), result.records.len());
+        let mut want = [0u64; 10];
+        for (b, r) in breakdowns.iter().zip(result.records.iter()) {
+            assert_eq!(b.batch, r.seq);
+            assert!(b.complete(), "{name} batch {} missing open/close", r.seq);
+            assert!(
+                b.reconciled(),
+                "{name} batch {}: spans {:?} != close {:?}",
+                r.seq,
+                b.spans,
+                b.close
+            );
+            assert_eq!(b.close, Some(r.component_ns()));
+            for (slot, c) in want.iter_mut().zip(r.component_ns()) {
+                *slot += c;
+            }
+        }
+        assert_eq!(trace::totals(&breakdowns), want);
+
+        // The exporters accept the full run: the Chrome trace parses as
+        // JSON and the CSV carries one row per record.
+        let json = trace::chrome_trace(&records);
+        serde_json::parse(&json).expect("chrome trace is valid JSON");
+        assert_eq!(trace::csv(&records).lines().count(), records.len() + 1);
+
+        // Fault lifetimes cover every uniquely serviced page of every
+        // batch.
+        let unique: u64 = result.records.iter().map(|r| r.unique_pages).sum();
+        assert_eq!(trace::fault_lifetimes(&records).len() as u64, unique);
     }
-    assert_eq!(trace::totals(&breakdowns), want);
-
-    // The exporters accept the full run: the Chrome trace parses as JSON
-    // and the CSV carries one row per record.
-    let json = trace::chrome_trace(&records);
-    serde_json::parse(&json).expect("chrome trace is valid JSON");
-    assert_eq!(trace::csv(&records).lines().count(), records.len() + 1);
-
-    // Fault lifetimes cover every uniquely serviced page of every batch.
-    let unique: u64 = result.records.iter().map(|r| r.unique_pages).sum();
-    assert_eq!(trace::fault_lifetimes(&records).len() as u64, unique);
 }
 
 /// Span tiling must reconcile exactly when a batch contains *zero*
