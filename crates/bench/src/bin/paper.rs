@@ -33,47 +33,27 @@
 //! `service_batch`, event queue, radix lookups). `--quick` trims micro
 //! reps and skips the parallel suite pass (CI smoke).
 //!
-//! ## Policy sweep
+//! ## Grid sweeps
 //!
 //! ```text
-//! paper sweep [--quick] [--jobs N] [--bless] [--json <dir>]
+//! paper grid <policy|multitenant|architectures> [--quick] [--jobs N] [--bless] [--json <dir>]
 //! ```
 //!
-//! runs the pluggable-policy grid (`ext-policy`): every prefetch policy ×
-//! every eviction policy × four workloads (two regular, two irregular)
-//! under ~125 % oversubscription. Cells fan out across the worker pool;
-//! stdout is byte-identical for any `--jobs N`. `--quick` uses the
-//! CI-smoke problem sizes (golden `ext_policy_quick.txt`).
+//! runs one of the extension sweeps, each a grid of config axes × named
+//! workloads under ~125 % oversubscription ([`uvm_core::experiments::grid`]):
 //!
-//! ## Multi-tenant sweep
+//! * `policy` (`ext-policy`): every prefetch × eviction policy over two
+//!   regular and two irregular workloads;
+//! * `multitenant` (`ext-multitenant`): three co-scheduled clients under
+//!   every fairness policy, with throttling, the Jain index and per-client
+//!   p50/p99 fault-service latency;
+//! * `architectures` (`ext-architectures`): every servicing backend over
+//!   four workloads, with the latency breakdown and migration traffic.
 //!
-//! ```text
-//! paper multitenant [--quick] [--jobs N] [--bless] [--json <dir>]
-//! ```
-//!
-//! runs the multi-tenant fairness sweep (`ext-multitenant`): three
-//! clients (dense stream, pointer-chasing BFS, weight-2 attention)
-//! co-scheduled under ~125 % oversubscription, once per fairness policy
-//! (none, round-robin, fault-quota, weighted-share). Reports per-policy
-//! kernel time, admission throttling, and the Jain fairness index, plus
-//! per-client p50/p99 fault-service latency. Policy cells fan out across
-//! the worker pool; stdout is byte-identical for any `--jobs N`.
-//!
-//! ## Servicing-architecture sweep
-//!
-//! ```text
-//! paper architectures [--quick] [--jobs N] [--bless] [--json <dir>]
-//! ```
-//!
-//! runs the servicing-architecture sweep (`ext-architectures`): every
-//! servicing backend (CPU-driven stock driver, GPU-driven fault queues,
-//! 2/4-peer multi-GPU far-fault servicing) × four workloads (stream,
-//! gauss-seidel, bfs, attention) under ~125 % oversubscription. Reports
-//! the per-cell fault-service latency breakdown and a migration-traffic
-//! table separating host writeback from peer spill/fetch bytes. Cells
-//! fan out across the worker pool; stdout is byte-identical for any
-//! `--jobs N`. `--quick` uses the CI-smoke problem sizes (golden
-//! `ext_architectures_quick.txt`).
+//! Cells fan out across the worker pool; stdout is byte-identical for any
+//! `--jobs N`. Without `--quick` the output is the registry experiment's;
+//! `--quick` uses the CI-smoke problem sizes (golden `<id>_quick.txt`).
+//! A missing or unknown name exits 2.
 //!
 //! ## Chaos fuzzing
 //!
@@ -132,9 +112,11 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use uvm_bench::{canonical_id, experiments, run_experiments, Experiment, ExperimentOutput, SEED};
+use uvm_bench::{
+    canonical_id, experiments, run_experiments, run_grid, Experiment, ExperimentOutput, SEED,
+};
 use uvm_core::divergence::{run_lockstep_perturbed, LockstepOutcome};
-use uvm_core::experiments::bless_golden;
+use uvm_core::experiments::{bless_golden, grid};
 use uvm_core::parallel;
 use uvm_core::runctl::{self, RunCtl};
 use uvm_core::stats::{percentile, Histogram, Summary};
@@ -368,7 +350,7 @@ fn emit(o: &ExperimentOutput, bless: bool, json_dir: Option<&str>) {
     println!("================================================================");
     println!("{}\n", o.text);
     if bless {
-        match bless_golden(o.id, &o.text) {
+        match bless_golden(&o.id, &o.text) {
             Ok(Some(path)) => println!("blessed {}\n", path.display()),
             Ok(None) => {}
             Err(err) => fail(&format!("failed to bless golden for {}", o.id), err),
@@ -389,82 +371,34 @@ fn emit(o: &ExperimentOutput, bless: bool, json_dir: Option<&str>) {
     }
 }
 
-/// `paper sweep`: run the policy × workload grid (`ext-policy`) through
-/// the parallel engine and print the comparison table. `--quick` switches
-/// to the CI-smoke problem sizes (and the `ext-policy-quick` golden);
-/// `--bless`/`--json` behave as for regular experiments.
-fn sweep_command(quick: bool, bless: bool, json_dir: Option<&str>) {
-    let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_policy::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-policy", err),
-    };
-    let o = ExperimentOutput {
-        id: if quick { "ext-policy-quick" } else { "ext-policy" },
-        title: if quick {
-            "Extension — pluggable policy sweep (quick scale)"
-        } else {
-            "Extension — pluggable policy sweep (prefetch x eviction)"
-        },
-        text: r.render(),
-        value,
-        secs: t0.elapsed().as_secs_f64(),
-    };
-    emit(&o, bless, json_dir);
-}
-
-/// `paper multitenant`: run the multi-tenant fairness sweep
-/// (`ext-multitenant`) through the parallel engine and print the
-/// per-policy summary plus per-client attribution tables. `--quick`
-/// switches to the CI-smoke problem sizes (and the
-/// `ext-multitenant-quick` golden); `--bless`/`--json` behave as for
+/// `paper grid <name>`: run one named grid through the parallel engine
+/// and print its report. `--quick` switches to the CI-smoke problem sizes
+/// (and the `<id>-quick` golden); `--bless`/`--json` behave as for
 /// regular experiments.
-fn multitenant_command(quick: bool, bless: bool, json_dir: Option<&str>) {
+fn grid_command(name: Option<&str>, quick: bool, bless: bool, json_dir: Option<&str>) {
+    let Some(def) = grid::GRIDS.iter().find(|g| Some(g.name) == name) else {
+        let names: Vec<_> = grid::GRIDS.iter().map(|g| g.name).collect();
+        eprintln!(
+            "usage: paper grid <{}> [--quick] [--jobs N] [--bless] [--json <dir>]",
+            names.join("|")
+        );
+        std::process::exit(2);
+    };
+    if let Some(dir) = json_dir {
+        if let Err(err) = std::fs::create_dir_all(dir) {
+            fail("create json output dir", err);
+        }
+    }
     let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_multitenant::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-multitenant", err),
+    let (text, value) = run_grid(def, quick);
+    // The quick banner swaps the title's parenthetical for "(quick scale)".
+    let (id, title) = if quick {
+        let head = def.title.split_once(" (").map_or(def.title, |(head, _)| head);
+        (format!("{}-quick", def.id), format!("{head} (quick scale)"))
+    } else {
+        (def.id.to_string(), def.title.to_string())
     };
-    let o = ExperimentOutput {
-        id: if quick { "ext-multitenant-quick" } else { "ext-multitenant" },
-        title: if quick {
-            "Extension — multi-tenant fairness sweep (quick scale)"
-        } else {
-            "Extension — multi-tenant fairness sweep (3 clients)"
-        },
-        text: r.render(),
-        value,
-        secs: t0.elapsed().as_secs_f64(),
-    };
-    emit(&o, bless, json_dir);
-}
-
-/// `paper architectures`: run the servicing-architecture sweep
-/// (`ext-architectures`) through the parallel engine and print the
-/// per-backend latency breakdown plus migration-traffic tables.
-/// `--quick` switches to the CI-smoke problem sizes (and the
-/// `ext-architectures-quick` golden); `--bless`/`--json` behave as for
-/// regular experiments.
-fn architectures_command(quick: bool, bless: bool, json_dir: Option<&str>) {
-    let t0 = Instant::now();
-    let r = uvm_core::experiments::ext_architectures::run_scaled(SEED, quick);
-    let value = match serde_json::to_value(&r) {
-        Ok(v) => v,
-        Err(err) => fail("serialize ext-architectures", err),
-    };
-    let o = ExperimentOutput {
-        id: if quick { "ext-architectures-quick" } else { "ext-architectures" },
-        title: if quick {
-            "Extension — servicing-architecture sweep (quick scale)"
-        } else {
-            "Extension — servicing-architecture sweep (backend x workload)"
-        },
-        text: r.render(),
-        value,
-        secs: t0.elapsed().as_secs_f64(),
-    };
+    let o = ExperimentOutput { id, title, text, value, secs: t0.elapsed().as_secs_f64() };
     emit(&o, bless, json_dir);
 }
 
@@ -597,33 +531,8 @@ fn main() {
         fail("run-control configuration", e);
     }
 
-    if filter.as_deref() == Some("sweep") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        sweep_command(quick, bless, json_dir.as_deref());
-        return;
-    }
-
-    if filter.as_deref() == Some("multitenant") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        multitenant_command(quick, bless, json_dir.as_deref());
-        return;
-    }
-
-    if filter.as_deref() == Some("architectures") {
-        if let Some(dir) = &json_dir {
-            if let Err(err) = std::fs::create_dir_all(dir) {
-                fail("create json output dir", err);
-            }
-        }
-        architectures_command(quick, bless, json_dir.as_deref());
+    if filter.as_deref() == Some("grid") {
+        grid_command(positional.get(1).map(String::as_str), quick, bless, json_dir.as_deref());
         return;
     }
 

@@ -44,6 +44,12 @@ fn exp<R: serde::Serialize>(
     (render(&r), serde_json::to_value(&r).expect("serializable result"))
 }
 
+/// Run a named grid at [`SEED`]: the rendered report plus its JSON form.
+pub fn run_grid(def: &grid::GridDef, quick: bool) -> (String, serde_json::Value) {
+    let report = def.report(&def.run(SEED, quick));
+    (report.render(), serde_json::to_value(&report).expect("serializable report"))
+}
+
 /// Every experiment, in paper order.
 pub fn experiments() -> Vec<Experiment> {
     vec![
@@ -153,19 +159,19 @@ pub fn experiments() -> Vec<Experiment> {
             run: || exp(ext_thrashing::run, |r| r.render()),
         },
         Experiment {
-            id: "ext-policy",
-            title: "Extension — pluggable policy sweep (prefetch x eviction)",
-            run: || exp(ext_policy::run, |r| r.render()),
+            id: grid::POLICY.id,
+            title: grid::POLICY.title,
+            run: || run_grid(&grid::POLICY, false),
         },
         Experiment {
-            id: "ext-multitenant",
-            title: "Extension — multi-tenant fairness sweep (3 clients)",
-            run: || exp(ext_multitenant::run, |r| r.render()),
+            id: grid::MULTITENANT.id,
+            title: grid::MULTITENANT.title,
+            run: || run_grid(&grid::MULTITENANT, false),
         },
         Experiment {
-            id: "ext-architectures",
-            title: "Extension — servicing-architecture sweep (backend x workload)",
-            run: || exp(ext_architectures::run, |r| r.render()),
+            id: grid::ARCHITECTURES.id,
+            title: grid::ARCHITECTURES.title,
+            run: || run_grid(&grid::ARCHITECTURES, false),
         },
     ]
 }
@@ -188,9 +194,9 @@ pub fn canonical_id(spec: &str) -> String {
 /// One completed experiment run.
 pub struct ExperimentOutput {
     /// Registry id.
-    pub id: &'static str,
+    pub id: String,
     /// Banner title.
-    pub title: &'static str,
+    pub title: String,
     /// Rendered text report.
     pub text: String,
     /// Raw result as JSON.
@@ -209,8 +215,8 @@ pub fn run_experiments(selected: Vec<&Experiment>) -> Vec<ExperimentOutput> {
         let t0 = Instant::now();
         let (text, value) = (e.run)();
         ExperimentOutput {
-            id: e.id,
-            title: e.title,
+            id: e.id.to_string(),
+            title: e.title.to_string(),
             text,
             value,
             secs: t0.elapsed().as_secs_f64(),
@@ -401,7 +407,7 @@ pub mod perf {
             .iter()
             .map(|o| {
                 obj(vec![
-                    ("id", Value::Str(o.id.to_string())),
+                    ("id", Value::Str(o.id.clone())),
                     ("serial_s", Value::Float(o.secs)),
                 ])
             })

@@ -156,11 +156,14 @@ impl Bench {
     /// paper-style oversubscription ratio (footprint ≈ 110–130 % of GPU
     /// memory).
     pub fn oversub_memory_mb(self) -> u64 {
-        let w = self.build();
-        let footprint_mb = w.footprint_bytes() / (1024 * 1024);
-        // ~125% oversubscription: memory = footprint / 1.25.
-        (footprint_mb * 4 / 5).max(4)
+        oversub_memory_mb(&self.build())
     }
+}
+
+/// Device memory (in MiB) that oversubscribes `workload` by ~125 %:
+/// memory = footprint / 1.25, with a 4 MiB floor.
+pub fn oversub_memory_mb(workload: &Workload) -> u64 {
+    (workload.footprint_bytes() / (1024 * 1024) * 4 / 5).max(4)
 }
 
 #[cfg(test)]

@@ -218,8 +218,9 @@ fn claim_prefetch_does_not_rescue_irregular_apps() {
 }
 
 /// Sec. 5.2 / Figs. 14–16, through the pluggable policy engine: one quick
-/// policy × workload grid (the same cells `paper sweep --quick` renders
-/// and the `ext_policy_quick.txt` golden pins) carries three claims:
+/// policy × workload grid (the same cells `paper grid policy --quick`
+/// renders and the `ext_policy_quick.txt` golden pins) carries three
+/// claims:
 ///
 /// 1. Fig. 14: for dense access (the Gauss-Seidel row sweep), the tree
 ///    density prefetcher collapses the batch count and speeds the kernel —
@@ -234,35 +235,37 @@ fn claim_prefetch_does_not_rescue_irregular_apps() {
 ///    fewest batches and the least kernel time of any prefetcher.
 #[test]
 fn claim_policy_grid_matches_section_5_2() {
-    let grid = uvm_core::experiments::ext_policy::run_scaled(0x5C21, true);
-    let cell = |w: &str, p: &str| grid.cell(w, p, "lru").expect("grid cell exists");
+    let grid = uvm_core::experiments::grid::POLICY.run(0x5C21, true);
+    let cell = |w: &str, p: &str| &grid.cell(&[w, p, "lru"]).expect("grid cell exists").result;
+    let migrated = |r: &uvm_core::RunResult| r.records.iter().map(|b| b.pages_migrated).sum::<u64>();
+    let kernel_ms = |r: &uvm_core::RunResult| r.kernel_time.as_nanos() as f64 / 1e6;
 
     // (1) Dense: tree collapses batches and speeds the kernel.
     let (dense_none, dense_tree) = (cell("gauss-seidel", "none"), cell("gauss-seidel", "tree"));
     assert!(
-        dense_tree.batches * 4 < dense_none.batches,
+        dense_tree.num_batches * 4 < dense_none.num_batches,
         "tree should collapse dense batches: {} vs {}",
-        dense_tree.batches,
-        dense_none.batches
+        dense_tree.num_batches,
+        dense_none.num_batches
     );
-    assert!(dense_tree.kernel_ms < dense_none.kernel_ms);
+    assert!(dense_tree.kernel_time < dense_none.kernel_time);
 
     // (2) Irregular: tree neither reduces batches meaningfully nor speeds
     // the kernel, and migrates at least as much data.
     let (bfs_none, bfs_tree) = (cell("graph-bfs", "none"), cell("graph-bfs", "tree"));
     assert!(
-        bfs_tree.batches * 20 >= bfs_none.batches * 19,
+        bfs_tree.num_batches * 20 >= bfs_none.num_batches * 19,
         "tree should not meaningfully cut irregular batches: {} vs {}",
-        bfs_tree.batches,
-        bfs_none.batches
+        bfs_tree.num_batches,
+        bfs_none.num_batches
     );
     assert!(
-        bfs_tree.kernel_ms >= bfs_none.kernel_ms * 0.9,
+        kernel_ms(bfs_tree) >= kernel_ms(bfs_none) * 0.9,
         "no speedup on pointer-chasing access: {:.2} vs {:.2}",
-        bfs_tree.kernel_ms,
-        bfs_none.kernel_ms
+        kernel_ms(bfs_tree),
+        kernel_ms(bfs_none)
     );
-    assert!(bfs_tree.pages_migrated >= bfs_none.pages_migrated);
+    assert!(migrated(bfs_tree) >= migrated(bfs_none));
 
     // (3) Oracle is the per-workload upper bound across prefetchers.
     for w in ["vecadd", "gauss-seidel", "graph-bfs", "attention"] {
@@ -270,12 +273,12 @@ fn claim_policy_grid_matches_section_5_2() {
         for p in ["none", "tree", "stride"] {
             let other = cell(w, p);
             assert!(
-                oracle.kernel_ms <= other.kernel_ms,
+                oracle.kernel_time <= other.kernel_time,
                 "{w}: oracle {:.2} ms beaten by {p} {:.2} ms",
-                oracle.kernel_ms,
-                other.kernel_ms
+                kernel_ms(oracle),
+                kernel_ms(other)
             );
-            assert!(oracle.batches <= other.batches, "{w}: oracle batches vs {p}");
+            assert!(oracle.num_batches <= other.num_batches, "{w}: oracle batches vs {p}");
         }
     }
 }
