@@ -17,9 +17,7 @@
 //! experiments across a scoped worker pool and collects results in
 //! submission order, so stdout, golden files, and JSON dumps are
 //! byte-identical to a serial run — only the wall-clock `[N.NNs]`
-//! suffixes differ. `--jobs 1` forces the fully serial path. Checkpoint
-//! and resume runs are forced serial (the run-control ordinal is
-//! process-global).
+//! suffixes differ. `--jobs 1` forces the fully serial path.
 //!
 //! ## Benchmark baseline
 //!
@@ -82,10 +80,13 @@
 //! --halt-after-checkpoint  exit right after the first checkpoint (kill demo)
 //! ```
 //!
-//! Resume re-executes the harness deterministically; completed runs replay
-//! in full and the checkpointed run restores mid-flight, so the combined
-//! output of the killed invocation and the resumed one is byte-identical
-//! to an uninterrupted run.
+//! All four work at any `--jobs N`. Resume re-executes the harness
+//! deterministically; completed runs replay in full and the run the
+//! checkpoint was taken from (same config, workload and hints) restores
+//! mid-flight, so the resumed invocation's output alone is byte-identical
+//! to an uninterrupted run. A missing flag value or `--checkpoint-every 0`
+//! exits 2; a `--resume` snapshot that no run claims exits 1 after the
+//! normal output.
 //!
 //! ## Tracing
 //!
@@ -110,6 +111,8 @@
 //! `diverge [batch]` runs the lockstep divergence-detector demo.
 
 use std::io::Write as _;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::time::Instant;
 
 use uvm_bench::{
@@ -124,6 +127,23 @@ use uvm_core::trace::{self as trace, RingTracer, TraceFilter};
 use uvm_core::workloads::cpu_init::CpuInitPolicy;
 use uvm_core::workloads::stream::{self, StreamParams};
 use uvm_core::SystemConfig;
+
+/// The value following `flag`; exit 2 if there is none.
+fn flag_value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| {
+        eprintln!("{flag} needs a value");
+        std::process::exit(2);
+    })
+}
+
+/// The value following `flag`, parsed; exit 2 if it is missing or does
+/// not parse as `what`.
+fn parse_flag<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("{flag} needs {what}");
+        std::process::exit(2);
+    })
+}
 
 /// Print `err` and exit with status 1 — the harness's terminal error path.
 fn fail(context: &str, err: impl std::fmt::Display) -> ! {
@@ -433,7 +453,7 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut bless = false;
     let mut quick = false;
-    let mut jobs: Option<usize> = None;
+    let mut jobs: Option<NonZeroUsize> = None;
     let mut trials: u64 = 25;
     let mut seed: u64 = 0;
     let mut repro: Option<String> = None;
@@ -441,67 +461,29 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--json" => json_dir = it.next(),
-            "--out" => out_dir = it.next(),
-            "--trace-filter" => trace_filter = it.next(),
+            "--json" => json_dir = Some(flag_value(&mut it, &a)),
+            "--out" => out_dir = Some(flag_value(&mut it, &a)),
+            "--trace-filter" => trace_filter = Some(flag_value(&mut it, &a)),
             "--bless" => bless = true,
             "--quick" => quick = true,
-            "--jobs" => {
-                let n = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs needs a positive thread count");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("--jobs needs a positive thread count");
-                    std::process::exit(2);
-                }
-                jobs = Some(n);
-            }
-            "--trials" => {
-                trials = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--trials needs a positive count");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--repro" => repro = it.next(),
+            "--jobs" => jobs = Some(parse_flag(&mut it, &a, "a positive thread count")),
+            "--trials" => trials = parse_flag(&mut it, &a, "a positive count"),
+            "--seed" => seed = parse_flag(&mut it, &a, "an integer"),
+            "--repro" => repro = Some(flag_value(&mut it, &a)),
             "--checkpoint-every" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--checkpoint-every needs a batch count");
-                        std::process::exit(2);
-                    });
-                ctl.checkpoint_every = Some(n);
+                ctl.checkpoint_every = Some(parse_flag(&mut it, &a, "a positive batch count"));
             }
-            "--checkpoint-file" => ctl.checkpoint_path = it.next().map(Into::into),
-            "--resume" => ctl.resume_from = it.next().map(Into::into),
+            "--checkpoint-file" => ctl.checkpoint_path = Some(flag_value(&mut it, &a).into()),
+            "--resume" => ctl.resume_from = Some(flag_value(&mut it, &a).into()),
             "--halt-after-checkpoint" => ctl.halt_after_checkpoint = true,
             _ => positional.push(a),
         }
     }
     let filter = positional.first().cloned();
-
-    // Resolve the worker budget. Checkpoint/resume runs are forced serial:
-    // the run-control ordinal that matches runs to checkpoints is
-    // process-global, so concurrent runs would race it.
-    let checkpointing = ctl.checkpoint_every.is_some() || ctl.resume_from.is_some();
-    let requested = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    });
-    let effective = if checkpointing && requested > 1 {
-        eprintln!("note: checkpoint/resume forces --jobs 1 (run ordinal is process-global)");
-        1
-    } else {
-        requested
-    };
-    parallel::configure_jobs(effective);
+    let jobs = jobs
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get);
+    parallel::configure_jobs(jobs);
 
     if filter.as_deref() == Some("list") {
         for e in experiments() {
@@ -518,7 +500,7 @@ fn main() {
     }
 
     if filter.as_deref() == Some("bench") {
-        bench_command(effective, out_dir.as_deref(), quick);
+        bench_command(jobs, out_dir.as_deref(), quick);
         return;
     }
 
@@ -531,22 +513,34 @@ fn main() {
         fail("run-control configuration", e);
     }
 
-    if filter.as_deref() == Some("grid") {
-        grid_command(positional.get(1).map(String::as_str), quick, bless, json_dir.as_deref());
-        return;
+    match filter.as_deref() {
+        Some("grid") => {
+            grid_command(positional.get(1).map(String::as_str), quick, bless, json_dir.as_deref());
+        }
+        Some("trace") => {
+            let Some(id) = positional.get(1) else {
+                eprintln!("usage: paper trace <experiment> --out <dir> [--trace-filter <spec>]");
+                std::process::exit(2);
+            };
+            trace_experiment(id, out_dir.as_deref(), trace_filter.as_deref());
+        }
+        _ => run_selected(filter.as_deref(), jobs, bless, json_dir.as_deref()),
     }
 
-    if filter.as_deref() == Some("trace") {
-        let Some(id) = positional.get(1) else {
-            eprintln!("usage: paper trace <experiment> --out <dir> [--trace-filter <spec>]");
-            std::process::exit(2);
-        };
-        trace_experiment(id, out_dir.as_deref(), trace_filter.as_deref());
-        return;
+    if let Some(snap) = runctl::take_unclaimed_resume() {
+        eprintln!(
+            "error: the --resume snapshot (workload {}, batch {}) matched no run; \
+             it was written by another experiment or an older build",
+            snap.workload_name, snap.batches
+        );
+        std::process::exit(1);
     }
+}
 
+/// Run the experiments `filter` selects (all when `None`) and print them.
+fn run_selected(filter: Option<&str>, jobs: usize, bless: bool, json_dir: Option<&str>) {
     let all = experiments();
-    let selected: Vec<&Experiment> = match &filter {
+    let selected: Vec<&Experiment> = match filter {
         Some(f) => all.iter().filter(|e| e.id == f).collect(),
         None => all.iter().collect(),
     };
@@ -558,24 +552,24 @@ fn main() {
         );
         std::process::exit(1);
     }
-    if let Some(dir) = &json_dir {
+    if let Some(dir) = json_dir {
         if let Err(err) = std::fs::create_dir_all(dir) {
             fail("create json output dir", err);
         }
     }
 
-    if effective <= 1 {
+    if jobs <= 1 {
         // Serial path: print each experiment as it finishes.
         for e in selected {
             let o = run_experiments(vec![e]);
-            emit(&o[0], bless, json_dir.as_deref());
+            emit(&o[0], bless, json_dir);
         }
     } else {
         // Parallel path: fan out across the pool; results come back in
         // submission order, so the emitted stream is byte-identical to
         // the serial path (modulo the wall-clock suffixes).
         for o in run_experiments(selected) {
-            emit(&o, bless, json_dir.as_deref());
+            emit(&o, bless, json_dir);
         }
     }
 }

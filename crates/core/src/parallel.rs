@@ -18,7 +18,7 @@
 //! Work that touches process-global state falls back to inline execution:
 //! when tracing is enabled (the global tracer is installed once per
 //! process), when the pool is already inside a worker (no nested fan-out),
-//! or when `--jobs 1`/checkpointing is configured.
+//! or when `--jobs 1` is configured.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

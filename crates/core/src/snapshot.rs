@@ -78,8 +78,8 @@ impl SubsystemDigests {
 pub struct SystemSnapshot {
     /// Snapshot format version ([`SNAPSHOT_VERSION`] at capture time).
     pub version: u32,
-    /// Identity of the run within its harness process (see [`run_key`]);
-    /// 0 for standalone snapshots.
+    /// Identity of the run: what it runs (see [`run_key`]); 0 for
+    /// standalone snapshots.
     pub run_key: u64,
     /// Batches serviced when the snapshot was taken.
     pub batches: u64,
@@ -176,16 +176,15 @@ impl SystemSnapshot {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// The identity of one system run within a harness process: FNV-1a over
-/// the run's ordinal (how many runs the process started before it), the
-/// workload digest, and the config digest.
+/// The identity of one system run: FNV-1a over the digests of its hints,
+/// its workload and its config — of what the run runs, nothing else.
 ///
-/// Because the harness is deterministic, re-executing it reproduces the
-/// same sequence of run keys; a resume replays runs until the key stored
-/// in the checkpoint comes up, then restores mid-run.
-pub fn run_key(ordinal: u64, workload_digest: u64, config_digest: u64) -> u64 {
+/// A run is a pure function of those three inputs, so runs with equal
+/// keys are interchangeable: a resume hands the checkpoint to whichever
+/// of them starts first, and the output is the same either way.
+pub fn run_key(hints_digest: u64, workload_digest: u64, config_digest: u64) -> u64 {
     let mut h = FNV_OFFSET;
-    for word in [ordinal, workload_digest, config_digest] {
+    for word in [hints_digest, workload_digest, config_digest] {
         for b in word.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(FNV_PRIME);
@@ -195,94 +194,18 @@ pub fn run_key(ordinal: u64, workload_digest: u64, config_digest: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn digest_diff_names_disagreeing_subsystems() {
-        let a = SubsystemDigests { gpu: 1, driver: 2, host: 3, run: 4 };
-        assert!(a.diff(&a).is_empty());
-        let b = SubsystemDigests { gpu: 1, driver: 9, host: 3, run: 8 };
-        assert_eq!(a.diff(&b), vec!["driver", "run"]);
-    }
-
-    #[test]
-    fn run_key_separates_ordinal_workload_and_config() {
-        let base = run_key(0, 10, 20);
-        assert_ne!(base, run_key(1, 10, 20));
-        assert_ne!(base, run_key(0, 11, 20));
-        assert_ne!(base, run_key(0, 10, 21));
-        assert_eq!(base, run_key(0, 10, 20));
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let snap = SystemSnapshot {
+    /// A well-formed snapshot of a run with `run_key`, taken after
+    /// `batches` batches: tiny stand-in trees with matching digests.
+    pub(crate) fn stub_snapshot(run_key: u64, batches: u64) -> SystemSnapshot {
+        SystemSnapshot {
             version: SNAPSHOT_VERSION,
-            run_key: 7,
-            batches: 3,
-            workload_name: "t".into(),
-            workload_digest: 11,
-            config: Value::Null,
-            gpu: Value::NumU(1),
-            driver: Value::NumU(2),
-            host: Value::NumU(3),
-            run: Value::NumU(4),
-            digests: SubsystemDigests {
-                gpu: digest_value(&Value::NumU(1)),
-                driver: digest_value(&Value::NumU(2)),
-                host: digest_value(&Value::NumU(3)),
-                run: digest_value(&Value::NumU(4)),
-            },
-            trace: Value::Null,
-        };
-        let dir = std::env::temp_dir().join("uvm-snap-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        snap.save(&path).unwrap();
-        let back = SystemSnapshot::load(&path).unwrap();
-        assert_eq!(back.run_key, 7);
-        back.verify_integrity().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn integrity_failure_names_the_subsystem() {
-        let mut snap = SystemSnapshot {
-            version: SNAPSHOT_VERSION,
-            run_key: 0,
-            batches: 0,
-            workload_name: "t".into(),
-            workload_digest: 0,
-            config: Value::Null,
-            gpu: Value::NumU(1),
-            driver: Value::NumU(2),
-            host: Value::NumU(3),
-            run: Value::NumU(4),
-            digests: SubsystemDigests {
-                gpu: digest_value(&Value::NumU(1)),
-                driver: digest_value(&Value::NumU(2)),
-                host: digest_value(&Value::NumU(3)),
-                run: digest_value(&Value::NumU(4)),
-            },
-            trace: Value::Null,
-        };
-        snap.driver = Value::NumU(99);
-        let err = snap.verify_integrity().unwrap_err();
-        assert!(err.to_string().contains("driver"), "got: {err}");
-    }
-
-    #[test]
-    fn torn_tmp_write_preserves_previous_checkpoint() {
-        // The crash-consistency contract: an I/O failure partway through
-        // the tmp-file write (a full disk, a kill) must leave the previous
-        // checkpoint loadable — the rename into place never happens.
-        let mk = |batches: u64| SystemSnapshot {
-            version: SNAPSHOT_VERSION,
-            run_key: 1,
+            run_key,
             batches,
             workload_name: "t".into(),
-            workload_digest: 5,
+            workload_digest: 0,
             config: Value::Null,
             gpu: Value::NumU(batches),
             driver: Value::NumU(2),
@@ -295,7 +218,53 @@ mod tests {
                 run: digest_value(&Value::NumU(4)),
             },
             trace: Value::Null,
-        };
+        }
+    }
+
+    #[test]
+    fn digest_diff_names_disagreeing_subsystems() {
+        let a = SubsystemDigests { gpu: 1, driver: 2, host: 3, run: 4 };
+        assert!(a.diff(&a).is_empty());
+        let b = SubsystemDigests { gpu: 1, driver: 9, host: 3, run: 8 };
+        assert_eq!(a.diff(&b), vec!["driver", "run"]);
+    }
+
+    #[test]
+    fn run_key_separates_hints_workload_and_config() {
+        let base = run_key(0, 10, 20);
+        assert_ne!(base, run_key(1, 10, 20));
+        assert_ne!(base, run_key(0, 11, 20));
+        assert_ne!(base, run_key(0, 10, 21));
+        assert_eq!(base, run_key(0, 10, 20));
+    }
+
+    #[test]
+    fn save_and_load_round_trip() {
+        let snap = stub_snapshot(7, 3);
+        let dir = std::env::temp_dir().join("uvm-snap-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        snap.save(&path).unwrap();
+        let back = SystemSnapshot::load(&path).unwrap();
+        assert_eq!(back.run_key, 7);
+        back.verify_integrity().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn integrity_failure_names_the_subsystem() {
+        let mut snap = stub_snapshot(0, 0);
+        snap.driver = Value::NumU(99);
+        let err = snap.verify_integrity().unwrap_err();
+        assert!(err.to_string().contains("driver"), "got: {err}");
+    }
+
+    #[test]
+    fn torn_tmp_write_preserves_previous_checkpoint() {
+        // The crash-consistency contract: an I/O failure partway through
+        // the tmp-file write (a full disk, a kill) must leave the previous
+        // checkpoint loadable — the rename into place never happens.
+        let mk = |batches: u64| stub_snapshot(1, batches);
         let dir = std::env::temp_dir().join("uvm-snap-crash-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");

@@ -133,7 +133,7 @@ enum Worker {
 /// Memory-usage hints applied before a run: `cudaMemAdvise` per
 /// allocation and explicit `cudaMemPrefetchAsync` calls executed before
 /// the first kernel launch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RunHints {
     /// Usage hints, applied to every VABlock of each allocation.
     pub advise: Vec<(Allocation, MemAdvise)>,
@@ -284,17 +284,15 @@ impl UvmSystem {
     /// This is the path every full run takes, and it consults the
     /// process-global [`runctl`] checkpoint policy: when auto-checkpointing
     /// is configured the run's state is written out every N batches, and
-    /// when a matching resume snapshot is pending the run restores from it
-    /// instead of starting fresh — producing output byte-identical to the
-    /// uninterrupted run.
+    /// when a resume snapshot of the same run (same config, workload and
+    /// hints) is pending the run restores from it instead of starting
+    /// fresh — producing output byte-identical to the uninterrupted run.
     pub fn try_run_with_hints(
         self,
         workload: &Workload,
         hints: &RunHints,
     ) -> Result<RunResult, UvmError> {
-        let config_digest = digest_value(&self.config.to_value());
-        let workload_digest = digest_value(&workload.to_value());
-        let mut session = runctl::begin_run(workload_digest, config_digest);
+        let mut session = runctl::begin_run(|| runctl::key_of(&self.config, workload, hints));
         let mut run = match session.take_resume() {
             Some(snap) => RunInProgress::restore(&snap, workload)?,
             None => self.start(workload, hints)?,
@@ -303,8 +301,8 @@ impl UvmSystem {
             match run.advance_batch(workload)? {
                 Progress::Finished => break,
                 Progress::Batch(n) => {
-                    if session.should_checkpoint(n) {
-                        session.write_checkpoint(&run.snapshot(workload, session.run_key()));
+                    if let Some(key) = session.checkpoint_due(n) {
+                        session.write_checkpoint(&run.snapshot(workload, key));
                     }
                 }
             }
@@ -734,7 +732,7 @@ impl RunInProgress {
     }
 
     /// Capture the complete system state as a versioned checkpoint.
-    /// `run_key` identifies this run within its harness process (see
+    /// `run_key` identifies what this run runs (see
     /// [`crate::snapshot::run_key`]); pass 0 for standalone snapshots.
     pub fn snapshot(&self, workload: &Workload, run_key: u64) -> SystemSnapshot {
         let gpu = self.system.gpu.to_value();
