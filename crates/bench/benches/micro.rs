@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use uvm_core::driver::bitmap::PageBitmap;
+use uvm_core::sim::bitmap::PageBitmap;
 use uvm_core::driver::dedup::classify_duplicates;
 use uvm_core::driver::prefetch::compute_prefetch;
 use uvm_core::gpu::fault::{AccessKind, FaultRecord};

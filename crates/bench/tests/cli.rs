@@ -2,7 +2,8 @@
 //! contract, driven end to end: a flag missing its value exits 2, a
 //! resume snapshot that no run claims exits 1, and a run killed after a
 //! checkpoint at `--jobs 2` and resumed at `--jobs 2` prints exactly what
-//! an uninterrupted run prints.
+//! an uninterrupted run prints. Hostile `--resume` and `--repro` files fail
+//! with a typed error, never a crash.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -105,6 +106,23 @@ fn every_prefix_of_a_checkpoint_is_rejected() {
             matches!(SystemSnapshot::load(&cut), Err(UvmError::SnapshotInvalid { .. })),
             "a {len}-byte prefix of {} bytes loaded",
             bytes.len()
+        );
+    }
+}
+
+#[test]
+fn deeply_nested_resume_and_repro_files_exit_1() {
+    let dir = scratch("nested");
+    let path = dir.join("nested.json");
+    std::fs::write(&path, "[".repeat(300_000)).unwrap();
+    let path = path.to_str().unwrap();
+    for args in [["fig3", "--resume", path], ["chaos", "--repro", path]] {
+        let out = paper(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("snapshot cannot be restored") && stderr.contains("recursion limit"),
+            "{args:?}: {stderr}"
         );
     }
 }

@@ -343,7 +343,7 @@ impl UvmSystem {
         // the oracle is configured (other policies never consult it), and
         // installed before the first batch so snapshots carry it.
         if self.driver.policy().prefetch_policy == uvm_driver::PrefetchPolicyKind::Oracle {
-            let mut future: std::collections::BTreeMap<_, uvm_driver::PageBitmap> =
+            let mut future: std::collections::BTreeMap<_, uvm_sim::bitmap::PageBitmap> =
                 std::collections::BTreeMap::new();
             for page in workload.programs.iter().flat_map(|p| p.touched_pages()) {
                 future.entry(page.va_block()).or_default().set(page.index_in_block());

@@ -43,7 +43,7 @@ use uvm_sim::cost::CostModel;
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::time::SimDuration;
 
-use crate::bitmap::PageBitmap;
+use uvm_sim::bitmap::PageBitmap;
 
 /// Serde-configurable servicing-backend selection (the
 /// `SystemConfig::backend` knob).

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use uvm_sim::mem::VaBlockId;
 use uvm_sim::rng::DetRng;
 
-use crate::bitmap::PageBitmap;
+use uvm_sim::bitmap::PageBitmap;
 use crate::prefetch::compute_prefetch;
 
 /// Serde-configurable prefetcher selection (the

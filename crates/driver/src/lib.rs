@@ -9,7 +9,9 @@
 //!
 //! * [`policy`] — driver tunables: batch size limit (256 by default),
 //!   prefetching on/off, per-fault metadata logging.
-//! * [`bitmap`] — 512-bit per-VABlock page bitmaps.
+//! * Per-VABlock page state uses `uvm_sim`'s 512-bit
+//!   [`PageBitmap`](uvm_sim::bitmap::PageBitmap), the type the GPU page
+//!   table shares.
 //! * [`va_block`] / [`va_space`] — the 2 MiB VABlock state machine and the
 //!   managed-allocation registry.
 //! * [`dedup`] — batch duplicate-fault classification: type 1 (same
@@ -54,7 +56,6 @@ pub mod advise;
 pub mod audit;
 pub mod backend;
 pub mod batch;
-pub mod bitmap;
 pub mod clients;
 pub mod dedup;
 pub mod engine;
@@ -69,7 +70,6 @@ pub mod va_space;
 pub use advise::MemAdvise;
 pub use backend::{BackendKind, PeerDirectory, PeerHolding};
 pub use batch::BatchRecord;
-pub use bitmap::PageBitmap;
 pub use clients::{ClientCounters, ClientLedger, FairnessPolicy, TenancyConfig, TenantConfig};
 pub use dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
 pub use engine::{

@@ -47,7 +47,7 @@ use uvm_trace::TraceEvent;
 use crate::advise::MemAdvise;
 use crate::backend::{BackendKind, PeerDirectory};
 use crate::batch::{BatchRecord, Component, FaultMeta};
-use crate::bitmap::PageBitmap;
+use uvm_sim::bitmap::PageBitmap;
 use crate::clients::{ClientLedger, TenancyConfig};
 use crate::dedup::{classify_duplicates_with, DedupResult, DedupScratch};
 use crate::engine::{run_prefetch_policy, PrefetchContext};

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use uvm_sim::mem::VaBlockId;
 
 use crate::advise::MemAdvise;
-use crate::bitmap::PageBitmap;
+use uvm_sim::bitmap::PageBitmap;
 
 /// Driver-side state of one 2 MiB VABlock.
 #[derive(Debug, Clone, Serialize, Deserialize)]

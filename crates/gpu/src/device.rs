@@ -15,8 +15,15 @@
 //! Warps are driven by [`Gpu::step_warp`], which advances one warp until it
 //! faults to a stall, finishes, or exhausts its step quantum — the engine
 //! (in `uvm-core`) schedules these steps as discrete events.
+//!
+//! Stepping and replay are the simulator's hottest loops, so nothing on
+//! them hashes or allocates per access: the page table is a per-VABlock
+//! bitmap ([`GpuPageTable`]), μTLBs probe a slot array, scoreboards are
+//! sorted vectors, and the GMMU keeps its pending count and earliest
+//! request up to date. Each of these serializes exactly as the hashed or
+//! ordered collection it replaced, so snapshots and digests are unchanged.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use uvm_sim::cost::CostModel;
@@ -24,10 +31,11 @@ use uvm_sim::mem::PageNum;
 use uvm_sim::rng::DetRng;
 use uvm_sim::time::SimTime;
 
-use crate::fault::{AccessKind, FaultRecord};
+use crate::fault::AccessKind;
 use crate::fault_buffer::FaultBuffer;
 use crate::gmmu::Gmmu;
 use crate::isa::{Instr, WarpProgram};
+use crate::page_table::GpuPageTable;
 use crate::spec::GpuSpec;
 use crate::utlb::{Utlb, UtlbInsert};
 use crate::warp::{Warp, WarpStatus};
@@ -68,7 +76,7 @@ pub struct Gpu {
     pub spec: GpuSpec,
     cost: CostModel,
     /// GPU page table: pages currently resident and mapped on the device.
-    page_table: HashSet<PageNum>,
+    page_table: GpuPageTable,
     utlbs: Vec<Utlb>,
     /// Fault arbitration stage.
     pub gmmu: Gmmu,
@@ -107,7 +115,7 @@ impl Gpu {
             kernel_end: SimTime::ZERO,
             replays: 0,
             resets: 0,
-            page_table: HashSet::new(),
+            page_table: GpuPageTable::new(),
             spec,
             cost,
         }
@@ -169,7 +177,7 @@ impl Gpu {
 
     /// Whether `page` is resident on the device.
     pub fn is_resident(&self, page: PageNum) -> bool {
-        self.page_table.contains(&page)
+        self.page_table.contains(page)
     }
 
     /// Number of resident pages.
@@ -185,13 +193,13 @@ impl Gpu {
     /// Unmap pages on eviction.
     pub fn unmap_pages<I: IntoIterator<Item = PageNum>>(&mut self, pages: I) {
         for p in pages {
-            self.page_table.remove(&p);
+            self.page_table.remove(p);
         }
     }
 
     /// Move pending GMMU faults into the fault buffer (round-robin
-    /// arbitration), returning the inserted records.
-    pub fn drain_faults(&mut self) -> Vec<FaultRecord> {
+    /// arbitration), returning how many the buffer accepted.
+    pub fn drain_faults(&mut self) -> usize {
         self.gmmu.drain(&mut self.fault_buffer, &self.cost)
     }
 
@@ -225,7 +233,7 @@ impl Gpu {
 
     /// Aggregate μTLB entries lost to GPU resets.
     pub fn utlb_reset_losses(&self) -> u64 {
-        self.utlbs.iter().map(|u| u.reset_losses()).sum()
+        self.utlbs.iter().map(Utlb::reset_losses).sum()
     }
 
     /// Fault replay: clear μTLB waiting state and wake every blocked warp.
@@ -236,26 +244,20 @@ impl Gpu {
     /// keeps the single-warp microbenchmarks (Figs. 3–5) exactly timed.
     pub fn replay(&mut self, now: SimTime) -> Vec<(u32, SimTime)> {
         self.replays += 1;
-        let blocked_warps =
-            self.warps.iter().filter(|w| w.status == WarpStatus::Blocked).count() as u64;
+        let blocked = self.blocked_warps();
         uvm_trace::emit_instant(now.0, || uvm_trace::TraceEvent::Replay {
             seq: self.replays,
-            woken: blocked_warps,
+            woken: blocked as u64,
         });
         for u in &mut self.utlbs {
             u.replay();
         }
-        let blocked = self
-            .warps
-            .iter()
-            .filter(|w| w.status == WarpStatus::Blocked)
-            .count();
         let spread = self.cost.replay_wake_spread.as_nanos();
         let page_table = &self.page_table;
-        let mut woken = Vec::new();
+        let mut woken = Vec::with_capacity(blocked);
         for w in &mut self.warps {
             if w.status == WarpStatus::Blocked {
-                w.apply_replay(|p| page_table.contains(&p));
+                w.apply_replay(|p| page_table.contains(p));
                 w.status = WarpStatus::Ready;
                 let wake = if blocked > 1 && spread > 0 {
                     now + uvm_sim::time::SimDuration::from_nanos(self.rng.below(spread))
@@ -285,7 +287,7 @@ impl Gpu {
             // Issue any pending accesses of the current instruction (plus
             // queued refaults).
             while let Some((page, kind)) = w.next_pending_access() {
-                if self.page_table.contains(&page) {
+                if self.page_table.contains(page) {
                     continue; // hit
                 }
                 if kind == AccessKind::Prefetch {
@@ -382,6 +384,11 @@ impl Gpu {
     /// exact μTLB-limit size, and most re-issues land mid-service and are
     /// flushed, surfacing only occasionally as batch duplicates). The μTLB
     /// entry already exists, so no slot is consumed.
+    ///
+    /// The stream draws one Bernoulli trial per outstanding access, then one
+    /// delay per selected access. Rather than collect the selection, the
+    /// delays come from a copy of the stream advanced past the trials; the
+    /// copy then becomes the stream, so the draws are exactly that order.
     fn spurious_reissue(
         w: &mut Warp,
         gmmu: &mut Gmmu,
@@ -392,21 +399,26 @@ impl Gpu {
         if prob <= 0.0 {
             return;
         }
-        let reissues: Vec<(PageNum, AccessKind)> = w
-            .outstanding_accesses()
-            .filter(|_| rng.chance(prob))
-            .collect();
-        for (page, kind) in reissues {
-            let wake_delay =
-                uvm_sim::time::SimDuration::from_nanos(10_000 + rng.below(50_000));
-            gmmu.deposit(w.utlb, page, kind, w.sm, w.id, now + wake_delay, true);
-            w.faults_generated += 1;
+        let mut delays = rng.clone();
+        for _ in 0..w.outstanding_len() {
+            delays.unit();
         }
+        let mut reissued = 0;
+        for (page, kind) in w.outstanding_accesses() {
+            if rng.chance(prob) {
+                let wake_delay =
+                    uvm_sim::time::SimDuration::from_nanos(10_000 + delays.below(50_000));
+                gmmu.deposit(w.utlb, page, kind, w.sm, w.id, now + wake_delay, true);
+                reissued += 1;
+            }
+        }
+        w.faults_generated += reissued;
+        *rng = delays;
     }
 
     /// Aggregate μTLB full-stall count (hardware-limit pressure metric).
     pub fn utlb_full_stalls(&self) -> u64 {
-        self.utlbs.iter().map(|u| u.full_stalls()).sum()
+        self.utlbs.iter().map(Utlb::full_stalls).sum()
     }
 
     /// Occupancy of a μTLB (tests).
@@ -418,10 +430,18 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultRecord;
     use uvm_sim::mem::{VaBlockId, PAGES_PER_VABLOCK};
 
     fn small_gpu() -> Gpu {
         Gpu::new(GpuSpec::small(1 << 30), CostModel::titan_v())
+    }
+
+    /// Drain the GMMU and return the records the buffer accepted.
+    fn drain(gpu: &mut Gpu) -> Vec<FaultRecord> {
+        let n = gpu.drain_faults();
+        let buffered: Vec<FaultRecord> = gpu.fault_buffer.iter().copied().collect();
+        buffered[buffered.len() - n..].to_vec()
     }
 
     /// A minimal driver loop: fetch → service (map everything) → flush →
@@ -457,8 +477,7 @@ mod tests {
                 continue;
             }
             batches.push(batch.len());
-            let pages: HashSet<PageNum> = batch.iter().map(|f| f.page).collect();
-            gpu.map_pages(pages);
+            gpu.map_pages(batch.iter().map(|f| f.page));
             gpu.flush();
             now = SimTime(now.0 + 10_000);
             pending = gpu.replay(now).into_iter().map(|(w, _)| w).collect();
@@ -495,7 +514,7 @@ mod tests {
         let mut gpu = small_gpu();
         let activated = gpu.launch(vec![vecadd_program()]);
         assert_eq!(gpu.step_warp(activated[0], SimTime::ZERO), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 56);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
         assert_eq!(gpu.utlb_occupancy(gpu.warp(activated[0]).utlb), 56);
@@ -519,7 +538,7 @@ mod tests {
         // Batch 2: the remaining 8 B-reads; the store is still
         // scoreboard-blocked behind them.
         assert_eq!(gpu.step_warp(wid, SimTime(1_000_000)), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 8);
         assert!(recs.iter().all(|r| r.kind == AccessKind::Read));
         // Service batch 2; only now can writes fault.
@@ -528,7 +547,7 @@ mod tests {
         gpu.flush();
         gpu.replay(SimTime(2_000_000));
         assert_eq!(gpu.step_warp(wid, SimTime(2_000_000)), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert!(!recs.is_empty());
         assert!(recs.iter().any(|r| r.kind == AccessKind::Write), "writes fault now");
         // All writes in this wave target vector C's first statement pages.
@@ -564,7 +583,7 @@ mod tests {
             StepOutcome::Finished { .. } => {}
             other => panic!("prefetch warp should finish immediately, got {other:?}"),
         }
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 300);
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         assert_eq!(batch.len(), 256, "batch capped at the software limit");
@@ -590,7 +609,7 @@ mod tests {
         }
         assert_eq!(gpu.utlb_occupancy(0), 56);
         assert_eq!(gpu.utlb_full_stalls(), 1);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 56);
     }
 
@@ -606,7 +625,7 @@ mod tests {
         for wid in activated {
             let _ = gpu.step_warp(wid, SimTime::ZERO);
         }
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs.iter().filter(|r| r.dup_of_outstanding).count(), 1);
         assert_eq!(gpu.utlb_occupancy(0), 1, "duplicate consumed no extra slot");
@@ -670,7 +689,7 @@ mod tests {
         let prog = WarpProgram { instrs: vec![Instr::load1(PageNum(7))] };
         let a1 = gpu.launch(vec![prog.clone()]);
         let _ = gpu.step_warp(a1[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         gpu.map_pages(recs.iter().map(|r| r.page));
         gpu.flush();
         for (w, t) in gpu.replay(SimTime(1000)) {
@@ -700,7 +719,7 @@ mod tests {
         };
         let a = gpu.launch(vec![prog]);
         let _ = gpu.step_warp(a[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 16, "buffer capacity bounds insertions");
         assert_eq!(gpu.fault_buffer.overflow_drops(), 16);
         // Service what arrived, replay, and let the rest re-fault.
@@ -710,7 +729,7 @@ mod tests {
         for (w, t) in gpu.replay(SimTime(1_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
-        let recs2 = gpu.drain_faults();
+        let recs2 = drain(&mut gpu);
         assert_eq!(recs2.len(), 16, "dropped accesses re-fault");
         let batch2 = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch2.iter().map(|f| f.page));
@@ -733,7 +752,7 @@ mod tests {
         };
         let a = gpu.launch(vec![prog]);
         let _ = gpu.step_warp(a[0], SimTime::ZERO);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 32);
         // Hardware loses everything before the driver fetched a single one.
         let dropped = gpu.reset(SimTime(500));
@@ -746,7 +765,7 @@ mod tests {
         for (w, t) in gpu.replay(SimTime(1_000_000)) {
             let _ = gpu.step_warp(w, t);
         }
-        let recs2 = gpu.drain_faults();
+        let recs2 = drain(&mut gpu);
         assert_eq!(recs2.len(), 32, "lost accesses re-fault after replay");
         let batch = gpu.fault_buffer.fetch(256, SimTime(u64::MAX / 2));
         gpu.map_pages(batch.iter().map(|f| f.page));
@@ -772,7 +791,7 @@ mod tests {
         // The load is non-blocking: both delays elapse, then the warp
         // blocks at program end waiting for its outstanding access.
         assert_eq!(gpu.step_warp(a[0], SimTime::ZERO), StepOutcome::Blocked);
-        let recs = gpu.drain_faults();
+        let recs = drain(&mut gpu);
         assert_eq!(recs.len(), 1);
         assert!(recs[0].arrival.as_nanos() >= 10_000, "first delay elapsed before the fault");
         gpu.map_pages([PageNum(1)]);

@@ -14,10 +14,16 @@
 //! 2. a single faulting warp still fills a whole batch by itself (Fig. 3)
 //!    because with only one non-empty queue, round-robin degenerates to
 //!    FIFO.
+//!
+//! The engine asks for the pending count and the earliest queue-front
+//! request time after every warp step, so the queues keep both up to date
+//! on deposit, drain and flush instead of scanning every queue. The two
+//! aggregates are not serialized: the snapshot holds the queues alone, as
+//! before, and decoding recomputes them.
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use uvm_sim::cost::CostModel;
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
@@ -36,10 +42,65 @@ struct PendingFault {
     dup_of_outstanding: bool,
 }
 
+/// The per-μTLB pending-fault queues with their cached aggregates.
+#[derive(Debug)]
+struct FaultQueues {
+    queues: Vec<VecDeque<PendingFault>>,
+    /// Entries over all queues.
+    pending: usize,
+    /// Earliest `requested` among the queue fronts (`None` when empty).
+    earliest: Option<SimTime>,
+}
+
+impl FaultQueues {
+    fn new(num_utlbs: u32) -> Self {
+        FaultQueues {
+            queues: (0..num_utlbs).map(|_| VecDeque::new()).collect(),
+            pending: 0,
+            earliest: None,
+        }
+    }
+
+    fn push(&mut self, utlb: u32, pf: PendingFault) {
+        let q = &mut self.queues[utlb as usize];
+        if q.is_empty() {
+            self.earliest = Some(self.earliest.map_or(pf.requested, |e| e.min(pf.requested)));
+        }
+        q.push_back(pf);
+        self.pending += 1;
+    }
+
+    /// Empty every queue, returning how many entries they held.
+    fn clear(&mut self) -> usize {
+        for q in &mut self.queues {
+            q.clear();
+        }
+        self.earliest = None;
+        std::mem::take(&mut self.pending)
+    }
+}
+
+impl Serialize for FaultQueues {
+    fn to_value(&self) -> Value {
+        self.queues.to_value()
+    }
+}
+
+impl Deserialize for FaultQueues {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let queues = Vec::<VecDeque<PendingFault>>::from_value(v)?;
+        Ok(FaultQueues {
+            pending: queues.iter().map(VecDeque::len).sum(),
+            earliest: queues.iter().filter_map(|q| q.front().map(|pf| pf.requested)).min(),
+            queues,
+        })
+    }
+}
+
 /// The GMMU arbitration stage.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Gmmu {
-    queues: Vec<VecDeque<PendingFault>>,
+    queues: FaultQueues,
     /// Round-robin cursor over μTLB queues.
     cursor: usize,
     /// Next time the buffer write port is free.
@@ -54,7 +115,7 @@ impl Gmmu {
     /// A GMMU serving `num_utlbs` μTLB queues.
     pub fn new(num_utlbs: u32) -> Self {
         Gmmu {
-            queues: (0..num_utlbs).map(|_| VecDeque::new()).collect(),
+            queues: FaultQueues::new(num_utlbs),
             cursor: 0,
             port_free_at: SimTime::ZERO,
             total_deposited: 0,
@@ -64,7 +125,7 @@ impl Gmmu {
 
     /// Number of faults awaiting insertion.
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues.pending
     }
 
     /// Monotone count of deposits.
@@ -77,10 +138,7 @@ impl Gmmu {
     /// drain (draining early would defeat round-robin arbitration across
     /// μTLB queues that fill concurrently).
     pub fn earliest_request(&self) -> Option<SimTime> {
-        self.queues
-            .iter()
-            .filter_map(|q| q.front().map(|pf| pf.requested))
-            .min()
+        self.queues.earliest
     }
 
     /// Deposit a fault request from `utlb` at time `requested`.
@@ -96,40 +154,32 @@ impl Gmmu {
         dup_of_outstanding: bool,
     ) {
         self.total_deposited += 1;
-        self.queues[utlb as usize].push_back(PendingFault {
-            page,
-            kind,
-            sm,
-            warp,
-            requested,
-            dup_of_outstanding,
-        });
+        self.queues.push(
+            utlb,
+            PendingFault { page, kind, sm, warp, requested, dup_of_outstanding },
+        );
     }
 
     /// Drain pending faults round-robin into `buffer`, assigning arrival
     /// timestamps no earlier than each fault's request time and serialized
-    /// at the write port. Returns the inserted records (for event
-    /// scheduling). Entries that find the buffer full are discarded — the
-    /// hardware drops them and the access re-faults after the next replay.
-    pub fn drain(&mut self, buffer: &mut FaultBuffer, cost: &CostModel) -> Vec<FaultRecord> {
-        let n_queues = self.queues.len();
-        let mut inserted = Vec::new();
-        if n_queues == 0 {
-            return inserted;
-        }
-        let mut remaining: usize = self.pending();
-        while remaining > 0 {
+    /// at the write port. Returns how many records the buffer accepted.
+    /// Entries that find the buffer full are discarded — the hardware drops
+    /// them and the access re-faults after the next replay.
+    pub fn drain(&mut self, buffer: &mut FaultBuffer, cost: &CostModel) -> usize {
+        let queues = &mut self.queues.queues;
+        let n_queues = queues.len();
+        let mut inserted = 0;
+        for _ in 0..self.queues.pending {
             // Advance the cursor to the next non-empty queue.
             let mut tries = 0;
-            while self.queues[self.cursor].is_empty() {
+            while queues[self.cursor].is_empty() {
                 self.cursor = (self.cursor + 1) % n_queues;
                 tries += 1;
-                debug_assert!(tries <= n_queues, "pending() said work remains");
+                debug_assert!(tries <= n_queues, "pending count said work remains");
             }
             let utlb = self.cursor as u32;
-            let pf = self.queues[self.cursor].pop_front().expect("non-empty");
+            let pf = queues[self.cursor].pop_front().expect("non-empty");
             self.cursor = (self.cursor + 1) % n_queues;
-            remaining -= 1;
 
             let slot = if pf.requested > self.port_free_at {
                 pf.requested
@@ -155,7 +205,7 @@ impl Gmmu {
                     warp: record.warp,
                     dup: record.dup_of_outstanding,
                 });
-                inserted.push(record);
+                inserted += 1;
             } else {
                 uvm_trace::emit_instant(record.arrival.0, || uvm_trace::TraceEvent::FaultDropped {
                     page: record.page.0,
@@ -164,6 +214,7 @@ impl Gmmu {
                 });
             }
         }
+        self.queues.clear();
         inserted
     }
 
@@ -178,10 +229,7 @@ impl Gmmu {
     /// point resets: without this, a large discarded wave would keep
     /// phantom-delaying future insertions.
     pub fn flush(&mut self) -> u64 {
-        let dropped: u64 = self.queues.iter().map(|q| q.len() as u64).sum();
-        for q in &mut self.queues {
-            q.clear();
-        }
+        let dropped = self.queues.clear() as u64;
         self.flush_discards += dropped;
         self.port_free_at = SimTime::ZERO;
         dropped
@@ -195,7 +243,12 @@ mod tests {
     fn drain_all(g: &mut Gmmu) -> Vec<FaultRecord> {
         let mut buf = FaultBuffer::new(4096);
         let cost = CostModel::titan_v();
-        g.drain(&mut buf, &cost)
+        let n = g.drain(&mut buf, &cost);
+        assert_eq!(g.pending(), 0);
+        assert_eq!(g.earliest_request(), None);
+        let recs = buf.fetch(usize::MAX, SimTime(u64::MAX));
+        assert_eq!(recs.len(), n);
+        recs
     }
 
     #[test]
@@ -233,7 +286,7 @@ mod tests {
         let mut g = Gmmu::new(40);
         for u in 0..40u32 {
             for i in 0..56u64 {
-                g.deposit(u, PageNum(u as u64 * 1000 + i), AccessKind::Read, u * 2, u, SimTime(0), false);
+                g.deposit(u, PageNum(u64::from(u) * 1000 + i), AccessKind::Read, u * 2, u, SimTime(0), false);
             }
         }
         let recs = drain_all(&mut g);
@@ -264,6 +317,31 @@ mod tests {
     }
 
     #[test]
+    fn cached_aggregates_track_queue_fronts() {
+        let mut g = Gmmu::new(3);
+        assert_eq!((g.pending(), g.earliest_request()), (0, None));
+        g.deposit(1, PageNum(1), AccessKind::Read, 2, 0, SimTime(500), false);
+        // A later deposit behind the same front does not move it, even
+        // when it requests earlier: only queue fronts drain first.
+        g.deposit(1, PageNum(2), AccessKind::Read, 2, 0, SimTime(100), true);
+        assert_eq!((g.pending(), g.earliest_request()), (2, Some(SimTime(500))));
+        g.deposit(2, PageNum(3), AccessKind::Read, 4, 1, SimTime(300), false);
+        assert_eq!((g.pending(), g.earliest_request()), (3, Some(SimTime(300))));
+
+        // Decoding recomputes both from the queues alone.
+        let v = g.to_value();
+        let back = Gmmu::from_value(&v).unwrap();
+        assert_eq!((back.pending(), back.earliest_request()), (3, Some(SimTime(300))));
+        assert_eq!(back.to_value(), v);
+
+        assert_eq!(drain_all(&mut g).len(), 3);
+        g.deposit(0, PageNum(4), AccessKind::Read, 0, 0, SimTime(900), false);
+        assert_eq!((g.pending(), g.earliest_request()), (1, Some(SimTime(900))));
+        assert_eq!(g.flush(), 1);
+        assert_eq!((g.pending(), g.earliest_request()), (0, None));
+    }
+
+    #[test]
     fn full_buffer_discards_overflow() {
         let mut g = Gmmu::new(1);
         for i in 0..10u64 {
@@ -272,7 +350,7 @@ mod tests {
         let mut buf = FaultBuffer::new(4);
         let cost = CostModel::titan_v();
         let inserted = g.drain(&mut buf, &cost);
-        assert_eq!(inserted.len(), 4);
+        assert_eq!(inserted, 4);
         assert_eq!(buf.overflow_drops(), 6);
         assert_eq!(g.pending(), 0);
     }

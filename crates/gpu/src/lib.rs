@@ -16,7 +16,8 @@
 //!   writes cannot fault until their input reads are fulfilled), software
 //!   prefetches (which bypass the scoreboard and the μTLB fault slots,
 //!   reproducing Fig. 5), and compute delays.
-//! * [`utlb`] — per-μTLB outstanding-fault tracking with the 56-entry limit.
+//! * [`utlb`] — per-μTLB outstanding-fault tracking with the 56-entry limit,
+//!   held in a linear-probed [`SlotSet`].
 //! * [`gmmu`] — the GPU memory-management unit: per-μTLB fault queues
 //!   drained **round-robin** into the fault buffer. Round-robin arbitration
 //!   is this model's concrete interpretation of the paper's observed per-SM
@@ -26,15 +27,25 @@
 //! * [`fault_buffer`] — the circular GPU fault buffer the driver fetches
 //!   from and flushes before each replay.
 //! * [`warp`] — warp execution state machines issuing accesses against the
-//!   GPU page table.
+//!   GPU page table, each with a sorted-vector [`Scoreboard`].
+//! * [`page_table`] — [`GpuPageTable`], the device's resident-page set as
+//!   per-VABlock bitmaps.
 //! * [`device`] — [`Gpu`], the device façade: launch kernels, step warps,
 //!   accept replays, and expose the fault buffer to the driver.
+//!
+//! Warp stepping and replay run once per simulated access and per batch, so
+//! none of these containers hashes or allocates on those paths. Each one
+//! serializes to exactly the value the hashed or ordered standard
+//! collection it replaced produced (ascending page arrays, `[page, kind]`
+//! pairs), and each decodes untrusted input in memory proportional to the
+//! input, never to the page numbers it names.
 
 pub mod device;
 pub mod fault;
 pub mod fault_buffer;
 pub mod gmmu;
 pub mod isa;
+pub mod page_table;
 pub mod spec;
 pub mod utlb;
 pub mod warp;
@@ -44,6 +55,7 @@ pub use fault::{AccessKind, FaultRecord};
 pub use fault_buffer::FaultBuffer;
 pub use gmmu::Gmmu;
 pub use isa::{Instr, WarpProgram};
+pub use page_table::GpuPageTable;
 pub use spec::GpuSpec;
-pub use utlb::{Utlb, UtlbInsert};
-pub use warp::{Warp, WarpStatus};
+pub use utlb::{SlotSet, Utlb, UtlbInsert};
+pub use warp::{Scoreboard, Warp, WarpStatus};

@@ -5,10 +5,15 @@
 //! μTLB is full stalls until the next fault replay clears the entries
 //! (Sec. 3.2: the first vector-addition batch contains exactly 56 faults,
 //! all of vector A's reads plus most of vector B's).
+//!
+//! The outstanding pages live in a [`SlotSet`]: a linear-probed array of at
+//! least twice the slot limit, indexed by a multiplicative (Fibonacci) mix
+//! of the page number. A probe touches one or two adjacent slots, and a
+//! replay clears the array in place, so fault generation neither hashes
+//! with SipHash nor allocates. It serializes as the ascending page array
+//! the hashed set it replaces produced.
 
-use std::collections::HashSet;
-
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use uvm_sim::mem::PageNum;
 
 /// Result of attempting to register a fault with a μTLB.
@@ -25,10 +30,111 @@ pub enum UtlbInsert {
     Full,
 }
 
+/// A small open-addressed set of pages: linear probing over a
+/// power-of-two slot array kept at most half full.
+#[derive(Debug)]
+pub struct SlotSet {
+    slots: Vec<Option<PageNum>>,
+    len: usize,
+}
+
+impl SlotSet {
+    /// A set that holds `n` pages without growing.
+    pub fn with_capacity(n: usize) -> Self {
+        SlotSet { slots: vec![None; (2 * n).next_power_of_two().max(8)], len: 0 }
+    }
+
+    /// First slot probed for `page`.
+    #[inline]
+    fn home(&self, page: PageNum) -> usize {
+        let shift = 64 - self.slots.len().trailing_zeros();
+        (page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The slot holding `page`, or the empty slot where it would go.
+    #[inline]
+    fn probe(&self, page: PageNum) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(page);
+        while let Some(p) = self.slots[i] {
+            if p == page {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Whether `page` is in the set.
+    #[inline]
+    pub fn contains(&self, page: PageNum) -> bool {
+        self.slots[self.probe(page)].is_some()
+    }
+
+    /// Add `page`. Returns whether it was newly added.
+    pub fn insert(&mut self, page: PageNum) -> bool {
+        let i = self.probe(page);
+        if self.slots[i].is_some() {
+            return false;
+        }
+        if 2 * (self.len + 1) > self.slots.len() {
+            let old = std::mem::replace(self, SlotSet::with_capacity(self.len + 1));
+            for p in old.slots.into_iter().flatten() {
+                let j = self.probe(p);
+                self.slots[j] = Some(p);
+            }
+            self.len = old.len;
+            let j = self.probe(page);
+            self.slots[j] = Some(page);
+        } else {
+            self.slots[i] = Some(page);
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Number of pages in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Remove every page, keeping the slot array.
+    pub fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(None);
+            self.len = 0;
+        }
+    }
+}
+
+impl Serialize for SlotSet {
+    fn to_value(&self) -> Value {
+        let mut pages: Vec<PageNum> = self.slots.iter().flatten().copied().collect();
+        pages.sort_unstable();
+        pages.to_value()
+    }
+}
+
+impl Deserialize for SlotSet {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let pages = Vec::<PageNum>::from_value(v)?;
+        let mut set = SlotSet::with_capacity(pages.len());
+        for p in pages {
+            set.insert(p);
+        }
+        Ok(set)
+    }
+}
+
 /// One μTLB's outstanding-fault state.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Utlb {
-    outstanding: HashSet<PageNum>,
+    outstanding: SlotSet,
     limit: u32,
     /// Monotone count of stall events due to a full μTLB.
     full_stalls: u64,
@@ -41,7 +147,7 @@ impl Utlb {
     /// A μTLB with the given outstanding-fault slot count.
     pub fn new(limit: u32) -> Self {
         Utlb {
-            outstanding: HashSet::with_capacity(limit as usize),
+            outstanding: SlotSet::with_capacity(limit as usize),
             limit,
             full_stalls: 0,
             reset_losses: 0,
@@ -50,7 +156,7 @@ impl Utlb {
 
     /// Attempt to register an outstanding fault for `page`.
     pub fn try_insert(&mut self, page: PageNum) -> UtlbInsert {
-        if self.outstanding.contains(&page) {
+        if self.outstanding.contains(page) {
             return UtlbInsert::AlreadyOutstanding;
         }
         if self.outstanding.len() as u32 >= self.limit {
@@ -63,7 +169,7 @@ impl Utlb {
 
     /// Whether `page` has an outstanding fault.
     pub fn is_outstanding(&self, page: PageNum) -> bool {
-        self.outstanding.contains(&page)
+        self.outstanding.contains(page)
     }
 
     /// Current number of outstanding faults.

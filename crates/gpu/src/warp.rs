@@ -6,10 +6,16 @@
 //! program counter, partially issued instruction, the set of outstanding
 //! faulted accesses (the scoreboard), and accesses that must re-fault after
 //! a replay found them still non-resident.
+//!
+//! The [`Scoreboard`] is a vector of `(page, kind)` pairs kept sorted by
+//! page: iteration is in ascending page order (which the spurious-reissue
+//! RNG pairing and the refault order depend on), a replay walks it once
+//! and clears it in place, and it serializes as the same `[page, kind]`
+//! pair array the ordered map it replaces produced. Instruction fetch
+//! refills the pending-page queue in place, so stepping a warp does not
+//! allocate.
 
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use uvm_sim::mem::PageNum;
 use uvm_sim::time::SimTime;
 
@@ -28,6 +34,78 @@ pub enum WarpStatus {
     Blocked,
     /// Program complete and all accesses fulfilled.
     Done,
+}
+
+/// A warp's outstanding faulted accesses: page → access kind, sorted by
+/// page with one entry per page.
+#[derive(Debug, Default)]
+pub struct Scoreboard {
+    entries: Vec<(PageNum, AccessKind)>,
+}
+
+impl Scoreboard {
+    /// Record `page` as outstanding with `kind`, replacing the kind of an
+    /// existing entry for the same page.
+    pub fn insert(&mut self, page: PageNum, kind: AccessKind) {
+        match self.entries.last() {
+            Some(&(last, _)) if last >= page => {
+                match self.entries.binary_search_by_key(&page, |&(p, _)| p) {
+                    Ok(i) => self.entries[i].1 = kind,
+                    Err(i) => self.entries.insert(i, (page, kind)),
+                }
+            }
+            _ => self.entries.push((page, kind)),
+        }
+    }
+
+    /// The access kind recorded for `page`.
+    pub fn get(&self, page: PageNum) -> Option<AccessKind> {
+        self.entries
+            .binary_search_by_key(&page, |&(p, _)| p)
+            .ok()
+            .map(|i| self.entries[i].1)
+    }
+
+    /// Number of outstanding accesses.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing is outstanding.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The outstanding accesses in ascending page order.
+    pub fn iter(&self) -> impl Iterator<Item = (PageNum, AccessKind)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// Forget every outstanding access, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+}
+
+impl Serialize for Scoreboard {
+    fn to_value(&self) -> Value {
+        self.entries.to_value()
+    }
+}
+
+/// Decoding accepts any order: entries are stably sorted by page and a
+/// repeated page keeps its last kind, as collecting the pairs into an
+/// ordered map does.
+impl Deserialize for Scoreboard {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mut entries = Vec::<(PageNum, AccessKind)>::from_value(v)?;
+        // Reversed, a stable sort puts each page's last entry first, and
+        // `dedup` keeps the first of a run.
+        entries.reverse();
+        entries.sort_by_key(|&(p, _)| p);
+        entries.dedup_by_key(|&mut (p, _)| p);
+        Ok(Scoreboard { entries })
+    }
 }
 
 /// One warp.
@@ -56,7 +134,7 @@ pub struct Warp {
     /// Faulted accesses awaiting service: page → access kind. Ordered so
     /// every iteration (notably the spurious-reissue RNG pairing) is
     /// deterministic regardless of process or thread.
-    outstanding: BTreeMap<PageNum, AccessKind>,
+    outstanding: Scoreboard,
     /// Accesses a replay found still non-resident; re-issued (re-faulted)
     /// before the current instruction continues.
     refault: Vec<(PageNum, AccessKind)>,
@@ -77,7 +155,7 @@ impl Warp {
             pc: 0,
             pending_pages: Vec::new(),
             pending_kind: AccessKind::Read,
-            outstanding: BTreeMap::new(),
+            outstanding: Scoreboard::default(),
             refault: Vec::new(),
             faults_generated: 0,
         }
@@ -101,7 +179,7 @@ impl Warp {
 
     /// Iterate the outstanding faulted accesses in ascending page order.
     pub fn outstanding_accesses(&self) -> impl Iterator<Item = (PageNum, AccessKind)> + '_ {
-        self.outstanding.iter().map(|(&p, &k)| (p, k))
+        self.outstanding.iter()
     }
 
     /// Take the next access to issue: first any refaults, then the pages of
@@ -135,23 +213,23 @@ impl Warp {
     pub fn fetch_next_instr(&mut self) -> Option<&Instr> {
         let instr = self.program.instrs.get(self.pc)?;
         self.pc += 1;
-        match instr {
+        self.pending_pages.clear();
+        let pages = match instr {
             Instr::Load { pages } => {
                 self.pending_kind = AccessKind::Read;
-                self.pending_pages = pages.iter().rev().copied().collect();
+                pages
             }
             Instr::Store { pages } => {
                 self.pending_kind = AccessKind::Write;
-                self.pending_pages = pages.iter().rev().copied().collect();
+                pages
             }
             Instr::Prefetch { pages } => {
                 self.pending_kind = AccessKind::Prefetch;
-                self.pending_pages = pages.iter().rev().copied().collect();
+                pages
             }
-            Instr::Delay(_) => {
-                self.pending_pages.clear();
-            }
-        }
+            Instr::Delay(_) => return Some(instr),
+        };
+        self.pending_pages.extend(pages.iter().rev());
         Some(instr)
     }
 
@@ -167,22 +245,14 @@ impl Warp {
 
     /// Apply a fault replay: every outstanding access whose page is now
     /// resident (per `is_resident`) is fulfilled; the rest move to the
-    /// refault queue for re-issue. Returns the number fulfilled.
+    /// refault queue for re-issue, in ascending page order. Returns the
+    /// number fulfilled.
     pub fn apply_replay(&mut self, is_resident: impl Fn(PageNum) -> bool) -> usize {
-        let mut fulfilled = 0;
-        let mut still = Vec::new();
-        for (page, kind) in std::mem::take(&mut self.outstanding) {
-            if is_resident(page) {
-                fulfilled += 1;
-            } else {
-                still.push((page, kind));
-            }
-        }
-        // Deterministic re-issue order.
-        still.sort_unstable_by_key(|(p, _)| *p);
-        for (page, kind) in still {
-            self.refault.push((page, kind));
-        }
+        let before = self.refault.len();
+        self.refault
+            .extend(self.outstanding.iter().filter(|&(page, _)| !is_resident(page)));
+        let fulfilled = self.outstanding.len() - (self.refault.len() - before);
+        self.outstanding.clear();
         fulfilled
     }
 }

@@ -12,6 +12,8 @@
 //!   simulation run with the same seed produces an identical trace.
 //! * [`mem`] — the shared memory-layout vocabulary: virtual addresses, 4 KiB
 //!   pages, and 2 MiB VABlocks exactly as the NVIDIA UVM driver defines them.
+//! * [`bitmap`] — the 512-bit per-VABlock [`PageBitmap`] shared by the GPU
+//!   page table and the driver's VABlock state.
 //! * [`cost`] — the analytic cost model ([`CostModel`]) that converts counted
 //!   simulator work (pages migrated, PTEs torn down, radix-tree nodes
 //!   allocated, …) into simulated time. The [`CostModel::titan_v`] preset is
@@ -27,6 +29,7 @@
 //! thread nondeterminism. Ties in the event queue are broken by insertion
 //! order, and all randomness flows from an explicit seed.
 
+pub mod bitmap;
 pub mod cost;
 pub mod error;
 pub mod event;
@@ -36,6 +39,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod time;
 
+pub use bitmap::PageBitmap;
 pub use cost::CostModel;
 pub use error::{UvmError, UvmResult};
 pub use event::EventQueue;

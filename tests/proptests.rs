@@ -6,13 +6,13 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 use uvm_core::{SystemConfig, UvmSystem};
-use uvm_driver::bitmap::PageBitmap;
 use uvm_driver::dedup::{classify_duplicates, classify_duplicates_with, DedupResult, DedupScratch};
 use uvm_driver::evict::{EvictOutcome, GpuMemoryManager};
 use uvm_driver::prefetch::compute_prefetch;
 use uvm_gpu::fault::{AccessKind, FaultRecord};
 use uvm_hostos::page_table::{PageTable, PteFlags};
 use uvm_hostos::radix_tree::RadixTree;
+use uvm_sim::bitmap::PageBitmap;
 use uvm_sim::event::EventQueue;
 use uvm_sim::mem::{PageNum, VaBlockId};
 use uvm_sim::time::SimTime;
